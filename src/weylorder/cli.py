@@ -12,10 +12,11 @@ import sys
 from fractions import Fraction
 
 from .altroutes import blasiak_normal_order, blockify, weyl_via_cg
-from .closedform import h_coeff, lambda_factor, weyl_normal_form, xi_factor, zeta_poly
+from .closedform import h_slots, lambda_factor, weyl_normal_form, xi_factor, zeta_row
 from .enumeration import CapExceededError, weyl_bruteforce, weyl_forced
-from .poly import normal_order_word
+from .poly import NormalPoly, normal_order_word
 from .quantize import quantize_system
+from .scalar import Scalar
 from .textio import (ParseError, SystemFormatError, load_system, parse_boson_word,
                      render, scalar_fields, structured_terms)
 
@@ -23,6 +24,13 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+
+def _cap(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cap must be nonnegative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--method", choices=["closed", "brute", "forced", "cg"],
                    default="closed")
-    p.add_argument("--forced-cap", type=int, default=8)
+    p.add_argument("--forced-cap", type=_cap, default=8)
     add_format(p)
 
     p = sub.add_parser("normal-order", help="normal-order a boson word")
@@ -60,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="cross-method verification sweep")
     p.add_argument("--max", type=int, default=6, dest="max_degree")
-    p.add_argument("--forced-cap", type=int, default=8)
-    p.add_argument("--eta-cap", type=int, default=6)
+    p.add_argument("--forced-cap", type=_cap, default=8)
+    p.add_argument("--eta-cap", type=_cap, default=6)
     p.add_argument("--parallel", action="store_true")
 
     return parser
@@ -106,55 +114,38 @@ def cmd_normal_order(args) -> int:
     return EXIT_OK
 
 
-def _coeff_rows(args):
-    j, k = args.j, args.k
-    if args.which == "zeta":
-        return [{"t": t, "value": zeta_poly(j, k, t)} for t in range(j + k + 1)]
-    rows = []
-    for u in range((j + k) // 2 + 1):
-        for v in range(j + k - 2 * u + 1):
-            if args.which == "h":
-                rows.append({"u": u, "v": v, **scalar_fields(h_coeff(j, k, u, v))})
-            elif args.which == "lambda":
-                rows.append({"u": u, "v": v, "value": lambda_factor(j, k, u, v)})
-            else:
-                rows.append({"u": u, "v": v,
-                             "value": _frac_str(xi_factor(j, k, u, v))})
-    return rows
+def _coeff_rows(j: int, k: int, which: str) -> list:
+    """(keys, value) per table row; value is a Scalar for h, else int or str."""
+    if which == "zeta":
+        return [({"t": t}, z) for t, z in enumerate(zeta_row(j, k))]
+    if which == "h":
+        return [({"u": u, "v": v}, h) for u, v, h in h_slots(j, k)]
+    slots = [(u, v) for u in range((j + k) // 2 + 1) for v in range(j + k - 2 * u + 1)]
+    if which == "lambda":
+        return [({"u": u, "v": v}, lambda_factor(j, k, u, v)) for u, v in slots]
+    return [({"u": u, "v": v}, _frac_str(xi_factor(j, k, u, v))) for u, v in slots]
 
 
 def cmd_coeffs(args) -> int:
     if args.j < 0 or args.k < 0:
         print("error: j and k must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
-    rows = _coeff_rows(args)
+    rows = _coeff_rows(args.j, args.k, args.which)
     if args.format == "structured":
-        print(json.dumps({"j": args.j, "k": args.k, "which": args.which,
-                          "rows": rows}))
+        print(json.dumps({"j": args.j, "k": args.k, "which": args.which, "rows": [
+            {**keys, **(scalar_fields(value) if isinstance(value, Scalar)
+                        else {"value": value})}
+            for keys, value in rows]}))
         return EXIT_OK
     print(f"# coeffs j={args.j} k={args.k} which={args.which}", file=sys.stderr)
     sep = " & " if args.format == "latex" else "  "
     eol = r" \\" if args.format == "latex" else ""
-    for row in rows:
-        if "x_re" in row:
-            from .scalar import Scalar
-            value = render(_const_poly(row), args.format)
-            keys = f"u={row['u']}{sep}v={row['v']}"
-        elif "t" in row:
-            value = str(row["value"])
-            keys = f"t={row['t']}"
-        else:
-            value = str(row["value"])
-            keys = f"u={row['u']}{sep}v={row['v']}"
-        print(f"{keys}{sep}{value}{eol}")
+    for keys, value in rows:
+        if isinstance(value, Scalar):
+            value = render(NormalPoly({(0, 0): value}), args.format)
+        print(sep.join(f"{name}={index}" for name, index in keys.items())
+              + f"{sep}{value}{eol}")
     return EXIT_OK
-
-
-def _const_poly(row):
-    from .poly import NormalPoly
-    from .scalar import Scalar
-    return NormalPoly({(0, 0): Scalar(Fraction(row["x_re"]), Fraction(row["x_im"]),
-                                      Fraction(row["y_re"]), Fraction(row["y_im"]))})
 
 
 def cmd_quantize(args) -> int:

@@ -4,7 +4,11 @@ The coefficient h(j,k,u,v) factors into a sign prefactor, a contraction
 count and the alternating Vandermonde convolution zeta.  zeta comes in four
 equivalent implementations (alternating sum, polynomial coefficient,
 guard-function sum, nonzero-range sum) that are cross-checked in the test
-suite and optionally at call time.
+suite and by the `check` sweep.
+
+Every coefficient of one (j, k) is the unit i^k 2^{-(j+k)/2} times a
+rational, so the table is built from one zeta row in exact rationals and
+the unit is applied to each slot by `_with_unit`, the one place it enters.
 """
 from __future__ import annotations
 
@@ -14,9 +18,6 @@ from math import comb, factorial
 
 from .poly import NormalPoly
 from .scalar import Scalar
-
-# When true, every zeta_poly call is checked against zeta_sum.
-CROSS_CHECK_ZETA = False
 
 
 def binom(a: int, b: int) -> int:
@@ -48,17 +49,20 @@ def zeta_sum(j: int, k: int, t: int) -> int:
     return sum((-1) ** m * binom(j, t - m) * binom(k, m) for m in range(t + 1))
 
 
-def zeta_poly(j: int, k: int, t: int) -> int:
-    """Coefficient of x^t in (1+x)^j (1-x)^k, by exact expansion."""
+def zeta_row(j: int, k: int) -> list:
+    """Coefficients of (1+x)^j (1-x)^k, by exact expansion: entry t is zeta(j, k, t)."""
     coeffs = [1]
     for _ in range(j):
         coeffs = [a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
     for _ in range(k):
         coeffs = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    value = coeffs[t] if 0 <= t < len(coeffs) else 0
-    if CROSS_CHECK_ZETA and value != zeta_sum(j, k, t):
-        raise AssertionError(f"zeta mismatch at ({j},{k},{t})")
-    return value
+    return coeffs
+
+
+def zeta_poly(j: int, k: int, t: int) -> int:
+    """Coefficient of x^t in (1+x)^j (1-x)^k, read from the expanded row."""
+    coeffs = zeta_row(j, k)
+    return coeffs[t] if 0 <= t < len(coeffs) else 0
 
 
 def _g(a: int, b: int) -> int:
@@ -82,17 +86,44 @@ def zeta_range(j: int, k: int, t: int) -> int:
                for m in range(max(0, t - j), min(k, t) + 1))
 
 
+def _slot_rational(n: int, u: int, v: int, zeta: list) -> Fraction:
+    """u!/2^u C(n-u-v, u) C(u+v, u) zeta[u+v]: h(j,k,u,v) without the unit, n = j+k."""
+    return Fraction(factorial(u) * comb(n - u - v, u) * comb(u + v, u) * zeta[u + v],
+                    2 ** u)
+
+
+def _with_unit(j: int, k: int, r: Fraction) -> Scalar:
+    """i^k 2^{-(j+k)/2} r, written straight into its one nonzero component.
+
+    2^{-n/2} is 1/2^(n/2) for even n and sqrt2/2^((n+1)/2) for odd n, and i^k
+    is one of 1, i, -1, -i, so the product has a single component +-r/2^m.
+    """
+    n = j + k
+    value = r / 2 ** ((n + 1) // 2)
+    if k % 4 >= 2:
+        value = -value
+    slot = ("x_re", "x_im", "y_re", "y_im")[2 * (n % 2) + k % 2]
+    return Scalar(**{slot: value})
+
+
 def h_coeff(j: int, k: int, u: int, v: int) -> Scalar:
     """Coefficient of ad^(j+k-2u-v) a^v in the normal form of the Weyl ordering."""
     if min(j, k, u, v) < 0:
         raise ValueError("indices must be nonnegative")
     if 2 * u + v > j + k:
         raise ValueError("2u+v exceeds j+k")
-    rational = (Fraction(factorial(u), 2 ** u)
-                * binom((j + k) - (u + v), u)
-                * binom(u + v, u)
-                * zeta_poly(j, k, u + v))
-    return Scalar.i_power(k) * Scalar.inv_sqrt2_power(j + k) * Scalar.from_rational(rational)
+    return _with_unit(j, k, _slot_rational(j + k, u, v, zeta_row(j, k)))
+
+
+def h_slots(j: int, k: int):
+    """Yield (u, v, h(j,k,u,v)) for every slot, u then v ascending, from one zeta row."""
+    if min(j, k) < 0:
+        raise ValueError("indices must be nonnegative")
+    n = j + k
+    zeta = zeta_row(j, k)
+    for u in range(n // 2 + 1):
+        for v in range(n - 2 * u + 1):
+            yield u, v, _with_unit(j, k, _slot_rational(n, u, v, zeta))
 
 
 @dataclass(frozen=True)
@@ -122,21 +153,16 @@ class HCoeffTable:
 
 
 def h_table(j: int, k: int) -> HCoeffTable:
-    entries = {}
-    for u in range((j + k) // 2 + 1):
-        for v in range(j + k - 2 * u + 1):
-            entries[(u, v)] = h_coeff(j, k, u, v)
-    return HCoeffTable(j, k, entries)
+    return HCoeffTable(j, k, {(u, v): h for u, v, h in h_slots(j, k)})
 
 
 def weyl_normal_form(j: int, k: int) -> NormalPoly:
-    """Normal-ordered equivalent of the Weyl ordering of q^j p^k (closed form)."""
-    terms: dict = {}
-    for u in range((j + k) // 2 + 1):
-        for v in range(j + k - 2 * u + 1):
-            key = (j + k - 2 * u - v, v)
-            terms[key] = terms.get(key, Scalar()) + h_coeff(j, k, u, v)
-    return NormalPoly(terms)
+    """Normal-ordered equivalent of the Weyl ordering of q^j p^k (closed form).
+
+    Slot (u, v) is the term ad^(j+k-2u-v) a^v, so every slot has its own key.
+    """
+    n = j + k
+    return NormalPoly({(n - 2 * u - v, v): h for u, v, h in h_slots(j, k)})
 
 
 @dataclass

@@ -90,7 +90,12 @@ class Scalar:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "Scalar":
-        other = _coerce(other)
+        # A rational factor scales the four components; no full product.
+        r = _rational_part(other)
+        if r is not None:
+            return self._times_rational(r)
+        if self.is_rational():
+            return other._times_rational(self.x_re)
         # Gaussian components: x = x1*x2 + 2*y1*y2, y = x1*y2 + y1*x2
         x_re, x_im = _gmul(self.x_re, self.x_im, other.x_re, other.x_im)
         t_re, t_im = _gmul(self.y_re, self.y_im, other.y_re, other.y_im)
@@ -100,6 +105,9 @@ class Scalar:
         return Scalar(x_re, x_im, y_re + u_re, y_im + u_im)
 
     __rmul__ = __mul__
+
+    def _times_rational(self, r: Fraction) -> "Scalar":
+        return Scalar(self.x_re * r, self.x_im * r, self.y_re * r, self.y_im * r)
 
     def conj(self) -> "Scalar":
         """Complex conjugation; fixes sqrt2."""
@@ -121,6 +129,13 @@ class Scalar:
 
 def _gmul(a_re, a_im, b_re, b_im):
     return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _rational_part(value):
+    """value as a Fraction if it is rational, None for a Scalar that is not."""
+    if isinstance(value, Scalar):
+        return value.x_re if value.is_rational() else None
+    return _frac(value)
 
 
 def _coerce(value) -> Scalar:

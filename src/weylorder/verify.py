@@ -4,12 +4,11 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from . import closedform
 from .altroutes import weyl_via_cg
-from .closedform import h_coeff, symmetry_report, zeta_gamma, zeta_poly, zeta_range, zeta_sum
+from .closedform import (symmetry_report, weyl_normal_form, zeta_gamma, zeta_poly, zeta_range,
+                         zeta_sum)
 from .enumeration import eta_decomposition_check, weyl_bruteforce, weyl_forced
 from .poly import NormalPoly
-from .scalar import Scalar
 
 
 @dataclass
@@ -30,12 +29,10 @@ class CheckReport:
 
 
 def _closed_with(h_fn, j: int, k: int) -> NormalPoly:
-    terms: dict = {}
-    for u in range((j + k) // 2 + 1):
-        for v in range(j + k - 2 * u + 1):
-            key = (j + k - 2 * u - v, v)
-            terms[key] = terms.get(key, Scalar()) + h_fn(j, k, u, v)
-    return NormalPoly(terms)
+    """The closed form assembled slot by slot from an injected coefficient function."""
+    n = j + k
+    return NormalPoly({(n - 2 * u - v, v): h_fn(j, k, u, v)
+                       for u in range(n // 2 + 1) for v in range(n - 2 * u + 1)})
 
 
 def _degree_pairs(max_degree: int):
@@ -48,15 +45,21 @@ def run_checks(max_degree: int = 6, forced_cap: int = 8, eta_cap: int = 6,
                parallel: bool = False, h_fn=None) -> CheckReport:
     """Run every route equality and symmetry check up to the degree caps.
 
-    h_fn overrides the closed-form coefficient function; it exists so the
-    harness can inject a corrupted table and watch the sweep fail.
+    The closed form checked is `weyl_normal_form`, the code `weyl --method
+    closed` serves.  h_fn replaces it by a table assembled from that
+    coefficient function; it exists so the harness can inject a corrupted
+    table and watch the sweep fail.
     """
-    h_fn = h_fn or h_coeff
+    if h_fn is None:
+        closed_form = weyl_normal_form
+    else:
+        def closed_form(j, k):
+            return _closed_with(h_fn, j, k)
     report = CheckReport()
 
     def route_case(pair):
         j, k = pair
-        closed = _closed_with(h_fn, j, k)
+        closed = closed_form(j, k)
         brute = weyl_bruteforce(j, k)
         cg = weyl_via_cg(j, k)
         if closed != brute:
@@ -120,7 +123,7 @@ def run_checks(max_degree: int = 6, forced_cap: int = 8, eta_cap: int = 6,
 
     witness = ""
     for j, k in pairs:
-        closed = _closed_with(h_fn, j, k)
+        closed = closed_form(j, k)
         if closed.adjoint() != closed:
             witness = f"not self-adjoint at (j={j}, k={k})"
             break

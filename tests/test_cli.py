@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from weylorder.altroutes import weyl_via_cg
 from weylorder.cli import main
+from weylorder.textio import render
 
 
 def run(capsys, *argv):
@@ -35,6 +37,18 @@ def test_weyl_methods_byte_identical(capsys):
     assert len(outputs) == 3  # one distinct output per format, none per method
 
 
+def test_weyl_closed_output_matches_cg_render(capsys):
+    for j in range(5):
+        for k in range(5):
+            cg = weyl_via_cg(j, k)
+            for fmt in ("plain", "latex"):
+                code, out, _ = run(capsys, "weyl", str(j), str(k), "--format", fmt)
+                assert code == 0
+                assert out == render(cg, fmt) + "\n"
+            code, out, _ = run(capsys, "weyl", str(j), str(k), "--format", "structured")
+            assert json.loads(out)["terms"] == json.loads(render(cg, "structured"))["terms"]
+
+
 def test_weyl_structured_schema(capsys):
     code, out, err = run(capsys, "weyl", "1", "1", "--format", "structured")
     assert code == 0
@@ -56,6 +70,23 @@ def test_weyl_cap_exceeded(capsys):
     code, _, err = run(capsys, "weyl", "5", "4", "--method", "forced")
     assert code == 3
     assert "cap" in err
+
+
+def test_negative_caps_rejected(capsys):
+    for argv in (["weyl", "2", "2", "--forced-cap", "-1"],
+                 ["weyl", "2", "2", "--method", "forced", "--forced-cap", "-1"],
+                 ["check", "--max", "2", "--forced-cap", "-1"],
+                 ["check", "--max", "2", "--eta-cap", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "cap must be nonnegative" in err
+
+
+def test_zero_caps_accepted(capsys):
+    code, out, _ = run(capsys, "check", "--max", "2", "--forced-cap", "0", "--eta-cap", "0")
+    assert code == 0
+    assert "forced-vs-brute: 1 cases ok" in out
 
 
 def test_normal_order(capsys):

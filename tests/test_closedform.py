@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from weylorder.closedform import (binom, h_coeff, h_table, lambda_factor,
+from weylorder.altroutes import weyl_via_cg
+from weylorder.closedform import (binom, h_coeff, h_slots, h_table, lambda_factor,
                                   symmetry_report, weyl_normal_form, xi_factor,
-                                  zeta_gamma, zeta_poly, zeta_range, zeta_sum)
+                                  zeta_gamma, zeta_poly, zeta_range, zeta_row, zeta_sum)
 from weylorder.enumeration import weyl_bruteforce
 from weylorder.poly import NormalPoly
 from weylorder.scalar import Scalar
@@ -50,6 +51,11 @@ def test_zeta_variants_agree():
                 assert zeta_range(j, k, t) == expected
 
 
+def test_zeta_row_is_the_zeta_sum_row():
+    for j, k in [(0, 0), (3, 2), (0, 7), (9, 4)]:
+        assert zeta_row(j, k) == [zeta_sum(j, k, t) for t in range(j + k + 1)]
+
+
 def test_zeta_degenerate_rows():
     for j in range(9):
         for t in range(j + 2):
@@ -72,6 +78,24 @@ def test_weyl_normal_form_pinned():
     half = Fraction(1, 2)
     assert weyl_normal_form(2, 0) == NormalPoly(
         {(2, 0): half, (1, 1): 1, (0, 2): half, (0, 0): half})
+
+
+def test_one_pass_slots_match_h_coeff():
+    for degree in range(15):
+        for j in range(degree + 1):
+            k = degree - j
+            poly = weyl_normal_form(j, k)
+            slots = list(h_slots(j, k))
+            assert [(u, v) for u, v, _ in slots] == [
+                (u, v) for u in range(degree // 2 + 1) for v in range(degree - 2 * u + 1)]
+            for u, v, h in slots:
+                assert h == h_coeff(j, k, u, v)
+                assert poly.coeff(degree - 2 * u - v, v) == h
+
+
+def test_closed_form_matches_cg_at_high_degree():
+    for j, k in [(12, 13), (20, 20), (0, 17)]:
+        assert weyl_normal_form(j, k) == weyl_via_cg(j, k)
 
 
 def test_closed_form_matches_bruteforce_oracle():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from weylorder.scalar import Scalar
+from weylorder.scalar import Scalar, _gmul
 
 
 def rational(num, den=1):
@@ -74,3 +74,36 @@ def test_conj_is_ring_involution(a, b):
     assert a.conj().conj() == a
     assert (a * b).conj() == a.conj() * b.conj()
     assert (a + b).conj() == a.conj() + b.conj()
+
+
+def full_product(a, b):
+    """The four-component product, written out with no rational shortcut."""
+    x_re, x_im = _gmul(a.x_re, a.x_im, b.x_re, b.x_im)
+    t_re, t_im = _gmul(a.y_re, a.y_im, b.y_re, b.y_im)
+    y_re, y_im = _gmul(a.x_re, a.x_im, b.y_re, b.y_im)
+    u_re, u_im = _gmul(a.y_re, a.y_im, b.x_re, b.x_im)
+    return Scalar(x_re + 2 * t_re, x_im + 2 * t_im, y_re + u_re, y_im + u_im)
+
+
+rational_operands = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    fracs,
+    fracs.map(Scalar.from_rational),
+)
+
+
+@given(scalars, rational_operands)
+def test_rational_fast_path_matches_full_product(a, r):
+    expected = full_product(a, Scalar.from_rational(r.x_re if isinstance(r, Scalar) else r))
+    assert a * r == expected
+    assert r * a == expected
+
+
+def test_mul_rejects_float_and_bool():
+    for bad in (0.5, True, False):
+        with pytest.raises(TypeError):
+            SQRT2 * bad
+        with pytest.raises(TypeError):
+            bad * SQRT2
+        with pytest.raises(TypeError):
+            rational(1, 2) * bad
