@@ -2,9 +2,9 @@
 
 from .altroutes import (BosonString, blasiak_coeff, blasiak_normal_order, blockify,
                         cg_weyl_monomial, weyl_via_cg)
-from .closedform import (HCoeffTable, SymmetryReport, WeylSpec, binom, h_coeff, h_slots,
-                         h_table, lambda_factor, symmetry_report, weyl_normal_form,
-                         xi_factor, zeta_gamma, zeta_poly, zeta_range, zeta_row, zeta_sum)
+from .closedform import (SymmetryReport, binom, h_coeff, h_slots, lambda_factor,
+                         symmetry_report, weyl_normal_form, xi_factor, zeta_gamma, zeta_poly,
+                         zeta_range, zeta_row, zeta_sum)
 from .enumeration import (CapExceededError, EtaCheck, distinct_orderings,
                           eta_decomposition_check, weyl_bruteforce, weyl_forced)
 from .poly import (ANNIHILATE, CREATE, P, Q, NormalPoly, expand_qp_word,

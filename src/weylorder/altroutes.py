@@ -39,8 +39,7 @@ def weyl_via_cg(j: int, k: int) -> NormalPoly:
             n = (j - alpha) + beta
             c = comb(j, alpha) * comb(k, beta) * (-1) ** (k - beta)
             acc = acc + cg_weyl_monomial(m, n) * Fraction(c)
-    prefactor = Scalar.i_power(k) * Scalar.inv_sqrt2_power(j + k)
-    return acc * prefactor
+    return acc * Scalar.weyl_unit(j, k)
 
 
 @dataclass(frozen=True)

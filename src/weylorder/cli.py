@@ -9,15 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .altroutes import blasiak_normal_order, blockify, weyl_via_cg
-from .closedform import h_slots, lambda_factor, weyl_normal_form, xi_factor, zeta_row
-from .enumeration import CapExceededError, weyl_bruteforce, weyl_forced
+from .closedform import h_slots, lambda_factor, slots, weyl_normal_form, xi_factor, zeta_row
+from .enumeration import ETA_CAP, FORCED_CAP, CapExceededError, weyl_bruteforce, weyl_forced
 from .poly import NormalPoly, normal_order_word
 from .quantize import quantize_system
 from .scalar import Scalar
-from .textio import (ParseError, SystemFormatError, load_system, parse_boson_word,
+from .textio import (ParseError, SystemFormatError, _frac_str, load_system, parse_boson_word,
                      render, scalar_fields, structured_terms)
 
 EXIT_OK = 0
@@ -48,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--method", choices=["closed", "brute", "forced", "cg"],
                    default="closed")
-    p.add_argument("--forced-cap", type=_cap, default=8)
+    p.add_argument("--forced-cap", type=_cap, default=FORCED_CAP)
     add_format(p)
 
     p = sub.add_parser("normal-order", help="normal-order a boson word")
@@ -68,15 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="cross-method verification sweep")
     p.add_argument("--max", type=int, default=6, dest="max_degree")
-    p.add_argument("--forced-cap", type=_cap, default=8)
-    p.add_argument("--eta-cap", type=_cap, default=6)
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--forced-cap", type=_cap, default=FORCED_CAP)
+    p.add_argument("--eta-cap", type=_cap, default=ETA_CAP)
 
     return parser
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def cmd_weyl(args) -> int:
@@ -120,10 +114,9 @@ def _coeff_rows(j: int, k: int, which: str) -> list:
         return [({"t": t}, z) for t, z in enumerate(zeta_row(j, k))]
     if which == "h":
         return [({"u": u, "v": v}, h) for u, v, h in h_slots(j, k)]
-    slots = [(u, v) for u in range((j + k) // 2 + 1) for v in range(j + k - 2 * u + 1)]
     if which == "lambda":
-        return [({"u": u, "v": v}, lambda_factor(j, k, u, v)) for u, v in slots]
-    return [({"u": u, "v": v}, _frac_str(xi_factor(j, k, u, v))) for u, v in slots]
+        return [({"u": u, "v": v}, lambda_factor(j, k, u, v)) for u, v in slots(j + k)]
+    return [({"u": u, "v": v}, _frac_str(xi_factor(j, k, u, v))) for u, v in slots(j + k)]
 
 
 def cmd_coeffs(args) -> int:
@@ -170,7 +163,7 @@ def cmd_quantize(args) -> int:
 def cmd_check(args) -> int:
     from .verify import run_checks
     report = run_checks(max_degree=args.max_degree, forced_cap=args.forced_cap,
-                        eta_cap=args.eta_cap, parallel=args.parallel)
+                        eta_cap=args.eta_cap)
     for result in report.results:
         status = "ok" if result.passed else "FAIL"
         print(f"{result.name}: {result.cases} cases {status}")

@@ -8,7 +8,7 @@ suite and by the `check` sweep.
 
 Every coefficient of one (j, k) is the unit i^k 2^{-(j+k)/2} times a
 rational, so the table is built from one zeta row in exact rationals and
-the unit is applied to each slot by `_with_unit`, the one place it enters.
+the unit is applied to each slot by `Scalar.weyl_unit`.
 """
 from __future__ import annotations
 
@@ -92,18 +92,11 @@ def _slot_rational(n: int, u: int, v: int, zeta: list) -> Fraction:
                     2 ** u)
 
 
-def _with_unit(j: int, k: int, r: Fraction) -> Scalar:
-    """i^k 2^{-(j+k)/2} r, written straight into its one nonzero component.
-
-    2^{-n/2} is 1/2^(n/2) for even n and sqrt2/2^((n+1)/2) for odd n, and i^k
-    is one of 1, i, -1, -i, so the product has a single component +-r/2^m.
-    """
-    n = j + k
-    value = r / 2 ** ((n + 1) // 2)
-    if k % 4 >= 2:
-        value = -value
-    slot = ("x_re", "x_im", "y_re", "y_im")[2 * (n % 2) + k % 2]
-    return Scalar(**{slot: value})
+def slots(n: int):
+    """Yield every slot (u, v) with 2u+v <= n, u then v ascending."""
+    for u in range(n // 2 + 1):
+        for v in range(n - 2 * u + 1):
+            yield u, v
 
 
 def h_coeff(j: int, k: int, u: int, v: int) -> Scalar:
@@ -112,7 +105,7 @@ def h_coeff(j: int, k: int, u: int, v: int) -> Scalar:
         raise ValueError("indices must be nonnegative")
     if 2 * u + v > j + k:
         raise ValueError("2u+v exceeds j+k")
-    return _with_unit(j, k, _slot_rational(j + k, u, v, zeta_row(j, k)))
+    return Scalar.weyl_unit(j, k, _slot_rational(j + k, u, v, zeta_row(j, k)))
 
 
 def h_slots(j: int, k: int):
@@ -121,39 +114,8 @@ def h_slots(j: int, k: int):
         raise ValueError("indices must be nonnegative")
     n = j + k
     zeta = zeta_row(j, k)
-    for u in range(n // 2 + 1):
-        for v in range(n - 2 * u + 1):
-            yield u, v, _with_unit(j, k, _slot_rational(n, u, v, zeta))
-
-
-@dataclass(frozen=True)
-class WeylSpec:
-    """Powers of q and p whose Weyl ordering is requested."""
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if self.j < 0 or self.k < 0:
-            raise ValueError("powers must be nonnegative")
-
-
-@dataclass
-class HCoeffTable:
-    """All h coefficients of one (j, k), indexed by (u, v)."""
-    j: int
-    k: int
-    entries: dict = field(default_factory=dict)
-
-    def __eq__(self, other):
-        if not isinstance(other, HCoeffTable):
-            return NotImplemented
-        mine = {key: c for key, c in self.entries.items() if c}
-        theirs = {key: c for key, c in other.entries.items() if c}
-        return (self.j, self.k, mine) == (other.j, other.k, theirs)
-
-
-def h_table(j: int, k: int) -> HCoeffTable:
-    return HCoeffTable(j, k, {(u, v): h for u, v, h in h_slots(j, k)})
+    for u, v in slots(n):
+        yield u, v, Scalar.weyl_unit(j, k, _slot_rational(n, u, v, zeta))
 
 
 def weyl_normal_form(j: int, k: int) -> NormalPoly:
@@ -180,22 +142,23 @@ class SymmetryReport:
 
 
 def symmetry_report(j: int, k: int) -> SymmetryReport:
-    """Check h(j,k,u,v) = (-1)^k h(j,k,u,j+k-2u-v), and the odd-odd middle zero."""
+    """Check h(j,k,u,v) = (-1)^k h(j,k,u,j+k-2u-v), and the odd-odd middle zero.
+
+    Both rules are read from one table built by `h_slots`.
+    """
+    table = {(u, v): h for u, v, h in h_slots(j, k)}
+    sign = (-1) ** k
+    odd_odd = j % 2 == 1 and k % 2 == 1
     pair_ok = True
     middle_ok = True
     failures = []
-    sign = (-1) ** k
-    for u in range((j + k) // 2 + 1):
+    for (u, v), lhs in table.items():
         width = j + k - 2 * u
-        for v in range(width + 1):
-            lhs = h_coeff(j, k, u, v)
-            rhs = Scalar.from_rational(sign) * h_coeff(j, k, u, width - v)
-            if lhs != rhs:
-                pair_ok = False
-                failures.append(("pair", u, v, lhs, rhs))
-        if j % 2 == 1 and k % 2 == 1 and width % 2 == 0:
-            mid = h_coeff(j, k, u, width // 2)
-            if mid:
-                middle_ok = False
-                failures.append(("middle", u, width // 2, mid, Scalar()))
+        rhs = table[u, width - v] * sign
+        if lhs != rhs:
+            pair_ok = False
+            failures.append(("pair", u, v, lhs, rhs))
+        if odd_odd and 2 * v == width and lhs:
+            middle_ok = False
+            failures.append(("middle", u, v, lhs, Scalar()))
     return SymmetryReport(j, k, pair_ok, middle_ok, failures)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 from . import closedform
@@ -77,8 +77,7 @@ def weyl_forced(j: int, k: int, cap: int = FORCED_CAP) -> NormalPoly:
         for letter in word:
             prod = prod * (plus if letter == Q else minus)
         total = total + prod
-    prefactor = Scalar.i_power(k) * Scalar.inv_sqrt2_power(j + k)
-    return total * (prefactor * Scalar.from_rational(Fraction(1, comb(j + k, j))))
+    return total * Scalar.weyl_unit(j, k, Fraction(1, comb(j + k, j)))
 
 
 @dataclass
@@ -113,7 +112,7 @@ def eta_decomposition_check(j: int, k: int, u: int, v: int, cap: int = ETA_CAP) 
         raise ValueError("2u+v exceeds j+k")
     slot = (n - 2 * u - v, v)
     monomials = []
-    for subset in _subsets(n, u + v):
+    for subset in combinations(range(n), u + v):
         word = tuple(ANNIHILATE if r in subset else CREATE for r in range(n))
         weight = _normal_order_int(word).get(slot, 0)
         if weight:
@@ -134,8 +133,3 @@ def eta_decomposition_check(j: int, k: int, u: int, v: int, cap: int = ETA_CAP) 
         xi_value=closedform.xi_factor(j, k, u, v),
         zeta_value=closedform.zeta_sum(j, k, u + v),
     )
-
-
-def _subsets(n: int, size: int):
-    from itertools import combinations
-    return combinations(range(n), size)

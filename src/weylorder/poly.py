@@ -66,9 +66,6 @@ class NormalPoly:
         """Terms in canonical order: descending m+n, then descending m."""
         return sorted(self._terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
 
-    def keys(self):
-        return self._terms.keys()
-
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -52,20 +52,18 @@ class Scalar:
         return cls(y_re=Fraction(1))
 
     @classmethod
-    def i_power(cls, k: int) -> "Scalar":
-        """i**k for any integer k (period 4)."""
-        re, im = [(1, 0), (0, 1), (-1, 0), (0, -1)][k % 4]
-        return cls(x_re=Fraction(re), x_im=Fraction(im))
+    def weyl_unit(cls, j: int, k: int, r=1) -> "Scalar":
+        """i^k 2^{-(j+k)/2} r for rational r, written into its one nonzero component.
 
-    @classmethod
-    def inv_sqrt2_power(cls, e: int) -> "Scalar":
-        """2**(-e/2) for integer e >= 0; odd e lands on the sqrt2 component."""
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e % 2 == 0:
-            return cls(x_re=Fraction(1, 2 ** (e // 2)))
-        # 1/2^{(2m+1)/2} = sqrt2 / 2^{m+1}
-        return cls(y_re=Fraction(1, 2 ** ((e + 1) // 2)))
+        2^{-n/2} is 1/2^(n/2) for even n and sqrt2/2^((n+1)/2) for odd n, and i^k
+        is one of 1, i, -1, -i, so the product has a single component +-r/2^m.
+        """
+        n = j + k
+        value = _frac(r) / 2 ** ((n + 1) // 2)
+        if k % 4 >= 2:
+            value = -value
+        slot = ("x_re", "x_im", "y_re", "y_im")[2 * (n % 2) + k % 2]
+        return cls(**{slot: value})
 
     # -- ring operations ---------------------------------------------------
 
@@ -116,9 +114,6 @@ class Scalar:
     def __bool__(self) -> bool:
         return bool(self.x_re or self.x_im or self.y_re or self.y_im)
 
-    def is_zero(self) -> bool:
-        return not self
-
     def is_rational(self) -> bool:
         return not (self.x_im or self.y_re or self.y_im)
 
@@ -142,7 +137,3 @@ def _coerce(value) -> Scalar:
     if isinstance(value, Scalar):
         return value
     return Scalar.from_rational(value)
-
-
-ZERO = Scalar()
-ONE = Scalar.from_rational(1)

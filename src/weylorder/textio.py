@@ -154,12 +154,8 @@ def parse_qp_poly(text: str) -> dict:
     while cur.peek() is not None:
         tok = cur.peek()
         if tok.kind in ("plus", "minus"):
-            if not first:
-                cur.take()
-                sign = Fraction(-1) if tok.kind == "minus" else Fraction(1)
-            else:
-                cur.take()
-                sign = Fraction(-1) if tok.kind == "minus" else Fraction(1)
+            cur.take()
+            sign = Fraction(-1) if tok.kind == "minus" else Fraction(1)
         elif not first:
             raise ParseError("expected '+' or '-' between monomials", tok.span)
         coeff, j, k = _parse_monomial(cur)

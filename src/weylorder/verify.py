@@ -1,14 +1,13 @@
 """Cross-method verification sweep used by the `check` subcommand and tests."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .altroutes import weyl_via_cg
-from .closedform import (symmetry_report, weyl_normal_form, zeta_gamma, zeta_poly, zeta_range,
-                         zeta_sum)
-from .enumeration import eta_decomposition_check, weyl_bruteforce, weyl_forced
-from .poly import NormalPoly
+from .closedform import (slots, symmetry_report, weyl_normal_form, zeta_gamma, zeta_poly,
+                         zeta_range, zeta_sum)
+from .enumeration import (ETA_CAP, FORCED_CAP, eta_decomposition_check, weyl_bruteforce,
+                          weyl_forced)
 
 
 @dataclass
@@ -28,53 +27,32 @@ class CheckReport:
         return all(r.passed for r in self.results)
 
 
-def _closed_with(h_fn, j: int, k: int) -> NormalPoly:
-    """The closed form assembled slot by slot from an injected coefficient function."""
-    n = j + k
-    return NormalPoly({(n - 2 * u - v, v): h_fn(j, k, u, v)
-                       for u in range(n // 2 + 1) for v in range(n - 2 * u + 1)})
-
-
 def _degree_pairs(max_degree: int):
     for degree in range(max_degree + 1):
         for j in range(degree + 1):
             yield j, degree - j
 
 
-def run_checks(max_degree: int = 6, forced_cap: int = 8, eta_cap: int = 6,
-               parallel: bool = False, h_fn=None) -> CheckReport:
+def run_checks(max_degree: int = 6, forced_cap: int = FORCED_CAP,
+               eta_cap: int = ETA_CAP) -> CheckReport:
     """Run every route equality and symmetry check up to the degree caps.
 
     The closed form checked is `weyl_normal_form`, the code `weyl --method
-    closed` serves.  h_fn replaces it by a table assembled from that
-    coefficient function; it exists so the harness can inject a corrupted
-    table and watch the sweep fail.
+    closed` serves.
     """
-    if h_fn is None:
-        closed_form = weyl_normal_form
-    else:
-        def closed_form(j, k):
-            return _closed_with(h_fn, j, k)
     report = CheckReport()
-
-    def route_case(pair):
-        j, k = pair
-        closed = closed_form(j, k)
+    pairs = list(_degree_pairs(max_degree))
+    witness = ""
+    for j, k in pairs:
+        closed = weyl_normal_form(j, k)
         brute = weyl_bruteforce(j, k)
         cg = weyl_via_cg(j, k)
         if closed != brute:
-            return f"closed != brute at (j={j}, k={k}): {closed!r} vs {brute!r}"
-        if closed != cg:
-            return f"closed != cg at (j={j}, k={k}): {closed!r} vs {cg!r}"
-        return None
-
-    pairs = list(_degree_pairs(max_degree))
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(route_case, pairs))
-    else:
-        outcomes = [route_case(pair) for pair in pairs]
-    witness = next((w for w in outcomes if w), "")
+            witness = f"closed != brute at (j={j}, k={k}): {closed!r} vs {brute!r}"
+        elif closed != cg:
+            witness = f"closed != cg at (j={j}, k={k}): {closed!r} vs {cg!r}"
+        if witness:
+            break
     report.results.append(CheckResult("route-equality(closed,brute,cg)",
                                       len(pairs), not witness, witness))
 
@@ -91,14 +69,13 @@ def run_checks(max_degree: int = 6, forced_cap: int = 8, eta_cap: int = 6,
     cases = 0
     witness = ""
     for j, k in eta_pairs:
-        for u in range((j + k) // 2 + 1):
-            for v in range(j + k - 2 * u + 1):
-                cases += 1
-                check = eta_decomposition_check(j, k, u, v, cap=eta_cap)
-                if not check.matches and not witness:
-                    witness = (f"eta decomposition fails at (j={j}, k={k}, u={u}, v={v}): "
-                               f"{check.symbolic_sum} vs "
-                               f"{check.lambda_value * check.xi_value * check.zeta_value}")
+        for u, v in slots(j + k):
+            cases += 1
+            check = eta_decomposition_check(j, k, u, v, cap=eta_cap)
+            if not check.matches and not witness:
+                witness = (f"eta decomposition fails at (j={j}, k={k}, u={u}, v={v}): "
+                           f"{check.symbolic_sum} vs "
+                           f"{check.lambda_value * check.xi_value * check.zeta_value}")
     report.results.append(CheckResult("eta-decomposition", cases, not witness, witness))
 
     cases = 0
@@ -123,7 +100,7 @@ def run_checks(max_degree: int = 6, forced_cap: int = 8, eta_cap: int = 6,
 
     witness = ""
     for j, k in pairs:
-        closed = closed_form(j, k)
+        closed = weyl_normal_form(j, k)
         if closed.adjoint() != closed:
             witness = f"not self-adjoint at (j={j}, k={k})"
             break

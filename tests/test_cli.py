@@ -173,17 +173,19 @@ def test_check_trivial(capsys):
     assert code == 0
 
 
-def test_check_corrupted_table_hook(capsys):
-    from weylorder.closedform import h_coeff
-    from weylorder.scalar import Scalar
-    from weylorder.verify import run_checks
+def test_check_corrupted_table_hook(monkeypatch):
+    from weylorder import verify
+    from weylorder.closedform import weyl_normal_form
+    from weylorder.poly import NormalPoly
 
-    def corrupted(j, k, u, v):
-        if (j, k, u, v) == (1, 1, 0, 0):
-            return Scalar.from_rational(7)
-        return h_coeff(j, k, u, v)
+    def corrupted(j, k):
+        terms = dict(weyl_normal_form(j, k).items())
+        if (j, k) == (1, 1):
+            terms[(2, 0)] = 7  # slot (u, v) = (0, 0) is the term ad^2
+        return NormalPoly(terms)
 
-    report = run_checks(max_degree=2, h_fn=corrupted)
+    monkeypatch.setattr(verify, "weyl_normal_form", corrupted)
+    report = verify.run_checks(max_degree=2)
     assert not report.ok
     failing = [r for r in report.results if not r.passed]
     assert any("j=1, k=1" in r.witness for r in failing)
@@ -192,9 +194,3 @@ def test_check_corrupted_table_hook(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["weyl"]) == 2
     assert main(["nonsense"]) == 2
-
-
-def test_parallel_check_matches_serial(capsys):
-    serial = run(capsys, "check", "--max", "3")
-    parallel = run(capsys, "check", "--max", "3", "--parallel")
-    assert serial == parallel

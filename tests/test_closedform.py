@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from weylorder import closedform
 from weylorder.altroutes import weyl_via_cg
-from weylorder.closedform import (binom, h_coeff, h_slots, h_table, lambda_factor,
+from weylorder.closedform import (binom, h_coeff, h_slots, lambda_factor, slots,
                                   symmetry_report, weyl_normal_form, xi_factor,
                                   zeta_gamma, zeta_poly, zeta_range, zeta_row, zeta_sum)
 from weylorder.enumeration import weyl_bruteforce
 from weylorder.poly import NormalPoly
 from weylorder.scalar import Scalar
+from weylorder.verify import run_checks
 
 
 def test_binom_zero_convention():
@@ -85,10 +87,10 @@ def test_one_pass_slots_match_h_coeff():
         for j in range(degree + 1):
             k = degree - j
             poly = weyl_normal_form(j, k)
-            slots = list(h_slots(j, k))
-            assert [(u, v) for u, v, _ in slots] == [
+            table = list(h_slots(j, k))
+            assert [(u, v) for u, v, _ in table] == list(slots(degree)) == [
                 (u, v) for u in range(degree // 2 + 1) for v in range(degree - 2 * u + 1)]
-            for u, v, h in slots:
+            for u, v, h in table:
                 assert h == h_coeff(j, k, u, v)
                 assert poly.coeff(degree - 2 * u - v, v) == h
 
@@ -149,12 +151,28 @@ def test_symmetry_report():
     assert symmetry_report(0, 0).ok
 
 
-def test_h_table_equality_ignores_zeros():
-    table = h_table(1, 1)
-    pruned = h_table(1, 1)
-    pruned.entries = {key: c for key, c in pruned.entries.items() if c}
-    assert table == pruned
-    assert table.entries[(0, 0)] == Scalar(x_im=Fraction(1, 2))
+def test_symmetry_report_failures(monkeypatch):
+    intact = closedform.h_slots
+
+    def broken(j, k):
+        for u, v, h in intact(j, k):
+            if (j, k) == (1, 1) and (u, v) == (0, 0):
+                h = h + Scalar.from_rational(1)  # breaks the pair (0, 0) ~ (0, 2)
+            elif (j, k) == (1, 1) and (u, v) == (1, 0):
+                h = Scalar.from_rational(3)  # the odd-odd middle slot of u = 1
+            yield u, v, h
+
+    monkeypatch.setattr(closedform, "h_slots", broken)
+    rep = symmetry_report(1, 1)
+    assert not rep.ok
+    assert not rep.pair_rule_ok and not rep.odd_middle_ok
+    kinds = {(kind, u, v) for kind, u, v, _, _ in rep.failures}
+    assert ("pair", 0, 0) in kinds
+    assert ("middle", 1, 0) in kinds
+    sym = next(r for r in run_checks(max_degree=2).results
+               if r.name == "coefficient-symmetries")
+    assert not sym.passed
+    assert sym.witness.startswith("pair symmetry fails at (j=1, k=1, u=0, v=0)")
 
 
 def test_h_coeff_range_checks():

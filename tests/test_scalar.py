@@ -33,20 +33,21 @@ def test_conj():
     assert (I * SQRT2).conj() == -(I * SQRT2)
 
 
-def test_i_power_cycle():
-    assert Scalar.i_power(0) == rational(1)
-    assert Scalar.i_power(1) == I
-    assert Scalar.i_power(2) == rational(-1)
-    assert Scalar.i_power(3) == -I
-    assert Scalar.i_power(7) == Scalar.i_power(3)
-
-
-def test_inv_sqrt2_power():
-    assert Scalar.inv_sqrt2_power(0) == rational(1)
-    assert Scalar.inv_sqrt2_power(2) == rational(1, 2)
-    # 1/2^{3/2} = sqrt2/4
-    assert Scalar.inv_sqrt2_power(3) == Scalar(y_re=Fraction(1, 4))
-    assert Scalar.inv_sqrt2_power(3) * SQRT2 * SQRT2 * SQRT2 == rational(1)
+def test_weyl_unit():
+    # i^k 2^{-n/2} r = i^k sqrt2^n r / 2^n, written out as ring products
+    for k in range(8):
+        for j in range(4):  # both parities of n = j + k
+            n = j + k
+            for r in (1, Fraction(-3, 5), 7):
+                expected = rational(r) * Fraction(1, 2 ** n)
+                for _ in range(k):
+                    expected = expected * I
+                for _ in range(n):
+                    expected = expected * SQRT2
+                assert Scalar.weyl_unit(j, k, r) == expected
+            assert Scalar.weyl_unit(j, k) == Scalar.weyl_unit(j, k, 1)
+    assert Scalar.weyl_unit(0, 3) == Scalar(y_im=Fraction(-1, 4))
+    assert Scalar.weyl_unit(1, 1, 3) == Scalar(x_im=Fraction(3, 2))
 
 
 def test_floats_rejected():
