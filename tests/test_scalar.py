@@ -50,6 +50,30 @@ def test_weyl_unit():
     assert Scalar.weyl_unit(1, 1, 3) == Scalar(x_im=Fraction(3, 2))
 
 
+def test_i_power_cycle():
+    # the i^k factor of the unit: 2^{k/2} i^k 2^{-k/2} = i^k, period 4
+    def i_power(k):
+        unit = Scalar.weyl_unit(0, k)
+        for _ in range(k):
+            unit = unit * SQRT2
+        return unit
+
+    assert i_power(0) == rational(1)
+    assert i_power(1) == I
+    assert i_power(2) == rational(-1)
+    assert i_power(3) == -I
+    assert i_power(7) == i_power(3)
+
+
+def test_inv_sqrt2_power():
+    # the 2^{-n/2} factor of the unit: k = 0 leaves no power of i
+    assert Scalar.weyl_unit(0, 0) == rational(1)
+    assert Scalar.weyl_unit(2, 0) == rational(1, 2)
+    # 1/2^{3/2} = sqrt2/4
+    assert Scalar.weyl_unit(3, 0) == Scalar(y_re=Fraction(1, 4))
+    assert Scalar.weyl_unit(3, 0) * SQRT2 * SQRT2 * SQRT2 == rational(1)
+
+
 def test_floats_rejected():
     with pytest.raises(TypeError):
         Scalar(x_re=0.5)
