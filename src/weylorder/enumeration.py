@@ -1,19 +1,22 @@
 """Brute-force routes: ordering averages and the symbolic-sign decomposition check.
 
-These are deliberately naive.  They exist to be ground truth for the closed
-form, so they follow the defining averages directly (with one recorded
-shortcut: forced orderings enumerate distinct sign arrangements weighted by
-j!k! instead of materializing all (j+k)! duplicates).
+These exist to be ground truth for the closed form, so they compute the
+defining averages over all distinct orderings and share no code with it.
+The sum over every word of j x's and k y's is built by the word-sum
+recursion S(a, b) = S(a-1, b) x + S(a, b-1) y: the same sum, grouped by the
+last letter, in (j+1)(k+1) steps instead of C(j+k, j) word expansions.
+`distinct_orderings` lists the words themselves, for tests that form the
+average word by word.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb
 
 from . import closedform
-from .poly import ANNIHILATE, CREATE, P, Q, NormalPoly, _normal_order_int, expand_qp_word
+from .poly import ANNIHILATE, CREATE, P, P_POLY, Q, Q_POLY, NormalPoly, _normal_order_int
 from .scalar import Scalar
 
 FORCED_CAP = 8
@@ -51,14 +54,26 @@ def distinct_orderings(j: int, k: int):
     yield from gen([], j, k)
 
 
+def _word_sum(j: int, k: int, x: NormalPoly, y: NormalPoly) -> NormalPoly:
+    """Sum of the products over all distinct words of j x's and k y's.
+
+    Keeps one row S(a, 0..k) and updates it in place for a = 1..j.
+    """
+    if j < 0 or k < 0:
+        raise ValueError("powers must be nonnegative")
+    row = [NormalPoly.one()]
+    for b in range(k):
+        row.append(row[b] * y)
+    for _ in range(j):
+        row[0] = row[0] * x
+        for b in range(1, k + 1):
+            row[b] = row[b] * x + row[b - 1] * y
+    return row[k]
+
+
 def weyl_bruteforce(j: int, k: int) -> NormalPoly:
     """Average of expand_qp_word over all distinct orderings of q^j p^k."""
-    total = NormalPoly.zero()
-    count = 0
-    for word in distinct_orderings(j, k):
-        total = total + expand_qp_word(word)
-        count += 1
-    return total * Fraction(1, count)
+    return _word_sum(j, k, Q_POLY, P_POLY) * Fraction(1, comb(j + k, j))
 
 
 def weyl_forced(j: int, k: int, cap: int = FORCED_CAP) -> NormalPoly:
@@ -71,13 +86,7 @@ def weyl_forced(j: int, k: int, cap: int = FORCED_CAP) -> NormalPoly:
         raise CapExceededError("forced-ordering average", j + k, cap)
     plus = NormalPoly({(1, 0): 1, (0, 1): 1})
     minus = NormalPoly({(1, 0): 1, (0, 1): -1})
-    total = NormalPoly.zero()
-    for word in distinct_orderings(j, k):
-        prod = NormalPoly.one()
-        for letter in word:
-            prod = prod * (plus if letter == Q else minus)
-        total = total + prod
-    return total * Scalar.weyl_unit(j, k, Fraction(1, comb(j + k, j)))
+    return _word_sum(j, k, plus, minus) * Scalar.weyl_unit(j, k, Fraction(1, comb(j + k, j)))
 
 
 @dataclass

@@ -120,7 +120,7 @@ class NormalPoly:
                 for k in range(min(n1, m2) + 1):
                     w = factorial(k) * comb(n1, k) * comb(m2, k)
                     key = (m1 + m2 - k, n1 + n2 - k)
-                    acc[key] = acc.get(key, Scalar()) + c * Fraction(w)
+                    acc[key] = acc.get(key, Scalar()) + (c if w == 1 else c * Fraction(w))
         return NormalPoly(acc)
 
     def adjoint(self) -> "NormalPoly":

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .altroutes import weyl_via_cg
 from .closedform import (slots, symmetry_report, weyl_normal_form, zeta_gamma, zeta_poly,
@@ -38,14 +39,16 @@ def run_checks(max_degree: int = 6, forced_cap: int = FORCED_CAP,
     """Run every route equality and symmetry check up to the degree caps.
 
     The closed form checked is `weyl_normal_form`, the code `weyl --method
-    closed` serves.
+    closed` serves.  Each route's value at a pair is computed once and
+    shared by the checks that read it.
     """
+    closed_at, brute_at = cache(weyl_normal_form), cache(weyl_bruteforce)
     report = CheckReport()
     pairs = list(_degree_pairs(max_degree))
     witness = ""
     for j, k in pairs:
-        closed = weyl_normal_form(j, k)
-        brute = weyl_bruteforce(j, k)
+        closed = closed_at(j, k)
+        brute = brute_at(j, k)
         cg = weyl_via_cg(j, k)
         if closed != brute:
             witness = f"closed != brute at (j={j}, k={k}): {closed!r} vs {brute!r}"
@@ -59,7 +62,7 @@ def run_checks(max_degree: int = 6, forced_cap: int = FORCED_CAP,
     forced_pairs = [p for p in pairs if p[0] + p[1] <= forced_cap]
     witness = ""
     for j, k in forced_pairs:
-        if weyl_forced(j, k, cap=forced_cap) != weyl_bruteforce(j, k):
+        if weyl_forced(j, k, cap=forced_cap) != brute_at(j, k):
             witness = f"forced != brute at (j={j}, k={k})"
             break
     report.results.append(CheckResult("forced-vs-brute", len(forced_pairs),
@@ -100,7 +103,7 @@ def run_checks(max_degree: int = 6, forced_cap: int = FORCED_CAP,
 
     witness = ""
     for j, k in pairs:
-        closed = weyl_normal_form(j, k)
+        closed = closed_at(j, k)
         if closed.adjoint() != closed:
             witness = f"not self-adjoint at (j={j}, k={k})"
             break

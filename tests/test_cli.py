@@ -72,6 +72,13 @@ def test_weyl_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_weyl_brute_degree_16_matches_closed(capsys):
+    # brute has no cap; the word-sum recursion keeps (8, 8) polynomial
+    code, brute, _ = run(capsys, "weyl", "8", "8", "--method", "brute")
+    assert code == 0
+    assert (0, brute) == run(capsys, "weyl", "8", "8", "--method", "closed")[:2]
+
+
 def test_negative_caps_rejected(capsys):
     for argv in (["weyl", "2", "2", "--forced-cap", "-1"],
                  ["weyl", "2", "2", "--method", "forced", "--forced-cap", "-1"],
@@ -189,6 +196,41 @@ def test_check_corrupted_table_hook(monkeypatch):
     assert not report.ok
     failing = [r for r in report.results if not r.passed]
     assert any("j=1, k=1" in r.witness for r in failing)
+
+
+def test_check_computes_each_route_once_per_pair(monkeypatch):
+    from collections import Counter
+
+    from weylorder import verify
+    from weylorder.closedform import weyl_normal_form
+    from weylorder.enumeration import weyl_bruteforce
+    from weylorder.poly import NormalPoly
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(j, k):
+            calls[name, j, k] += 1
+            return fn(j, k)
+        return wrapper
+
+    def corrupted(j, k):
+        terms = dict(weyl_normal_form(j, k).items())
+        if (j, k) == (1, 1):
+            terms[(2, 0)] = 7
+        return NormalPoly(terms)
+
+    pairs = list(verify._degree_pairs(3))
+    for closed in (weyl_normal_form, corrupted):
+        calls.clear()
+        monkeypatch.setattr(verify, "weyl_normal_form", counted("closed", closed))
+        monkeypatch.setattr(verify, "weyl_bruteforce", counted("brute", weyl_bruteforce))
+        report = verify.run_checks(max_degree=3)
+        # route-equality stops at the corrupted pair; forced-vs-brute fills in the rest
+        assert set(calls.values()) == {1}
+        assert {(j, k) for name, j, k in calls if name == "brute"} == set(pairs)
+        forced = report.results[1]
+        assert forced.passed and forced.cases == len(pairs)
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,7 +19,6 @@ def test_distinct_orderings_basic():
 
 
 def test_distinct_orderings_count_and_uniqueness():
-    from math import comb
     for j in range(6):
         for k in range(6):
             words = list(distinct_orderings(j, k))
@@ -42,6 +42,48 @@ def test_bruteforce_is_order_invariant():
     for word in words:
         total = total + expand_qp_word(word)
     assert total * Fraction(1, len(words)) == weyl_bruteforce(2, 2)
+
+
+def _word_average_pairs():
+    for degree in range(7):
+        for j in range(degree + 1):
+            yield j, degree - j
+
+
+def test_bruteforce_equals_per_word_average():
+    # the word-sum recursion against the defining average, one word at a time
+    for j, k in _word_average_pairs():
+        total = NormalPoly.zero()
+        for word in distinct_orderings(j, k):
+            total = total + expand_qp_word(word)
+        assert weyl_bruteforce(j, k) == total * Fraction(1, comb(j + k, j)), (j, k)
+
+
+def test_forced_equals_per_arrangement_average():
+    plus = NormalPoly({(1, 0): 1, (0, 1): 1})
+    minus = NormalPoly({(1, 0): 1, (0, 1): -1})
+    for j, k in _word_average_pairs():
+        total = NormalPoly.zero()
+        for word in distinct_orderings(j, k):
+            prod = NormalPoly.one()
+            for letter in word:
+                prod = prod * (plus if letter == Q else minus)
+            total = total + prod
+        # the unit i^k 2^{-(j+k)/2} written out, independent of Scalar.weyl_unit
+        unit = Scalar.from_rational(Fraction(1, comb(j + k, j)))
+        for _ in range(k):
+            unit = unit * Scalar.i()
+        for _ in range(j + k):
+            unit = unit * Scalar(y_re=Fraction(1, 2))
+        assert weyl_forced(j, k) == total * unit, (j, k)
+
+
+def test_negative_powers_rejected():
+    for j, k in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            weyl_bruteforce(j, k)
+        with pytest.raises(ValueError):
+            weyl_forced(j, k)
 
 
 def test_forced_examples():
