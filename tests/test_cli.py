@@ -73,7 +73,7 @@ def test_weyl_cap_exceeded(capsys):
 
 
 def test_weyl_brute_degree_16_matches_closed(capsys):
-    # brute has no cap; the word-sum recursion keeps (8, 8) polynomial
+    # brute has no cap, so degree 16 must stay cheap
     code, brute, _ = run(capsys, "weyl", "8", "8", "--method", "brute")
     assert code == 0
     assert (0, brute) == run(capsys, "weyl", "8", "8", "--method", "closed")[:2]
