@@ -30,16 +30,16 @@ def weyl_via_cg(j: int, k: int) -> NormalPoly:
 
     Inside the Weyl bracket the letters commute, so (a+ad)^j (ad-a)^k is
     expanded binomially and each commutative monomial a^m ad^n is converted
-    with cg_weyl_monomial.
+    with cg_weyl_monomial.  The converted monomials are summed into one dict.
     """
-    acc = NormalPoly.zero()
+    acc: dict = {}
     for alpha in range(j + 1):
         for beta in range(k + 1):
             m = alpha + (k - beta)
             n = (j - alpha) + beta
             c = comb(j, alpha) * comb(k, beta) * (-1) ** (k - beta)
-            acc = acc + cg_weyl_monomial(m, n) * Fraction(c)
-    return acc * Scalar.weyl_unit(j, k)
+            cg_weyl_monomial(m, n)._add_into(acc, Fraction(c))
+    return NormalPoly(acc) * Scalar.weyl_unit(j, k)
 
 
 @dataclass(frozen=True)

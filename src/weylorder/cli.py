@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .altroutes import blasiak_normal_order, blockify, weyl_via_cg
 from .closedform import h_slots, lambda_factor, slots, weyl_normal_form, xi_factor, zeta_row
@@ -32,7 +33,9 @@ def _cap(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="weylorder",
         description="Exact normal-ordered Weyl orderings of q^j p^k and friends.")
@@ -66,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("check", help="cross-method verification sweep")
-    p.add_argument("--max", type=int, default=6, dest="max_degree")
+    p.add_argument("--max", type=_cap, default=6, dest="max_degree")
     p.add_argument("--forced-cap", type=_cap, default=FORCED_CAP)
     p.add_argument("--eta-cap", type=_cap, default=ETA_CAP)
 

@@ -72,7 +72,7 @@ def _g(a: int, b: int) -> int:
 def _gamma(a: int, b: int) -> int:
     if b < 0:
         return 0
-    return _g(a, b) * comb(a, b) if a >= b else 0
+    return comb(a, b) if _g(a, b) else 0
 
 
 def zeta_gamma(j: int, k: int, t: int) -> int:

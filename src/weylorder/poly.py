@@ -88,9 +88,20 @@ class NormalPoly:
 
     def __add__(self, other: "NormalPoly") -> "NormalPoly":
         acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc[key] = acc.get(key, Scalar()) + coeff
+        other._add_into(acc)
         return NormalPoly(acc)
+
+    def _add_into(self, acc: dict, factor: Fraction | None = None) -> None:
+        """Add self, times an optional rational factor, into the term dict acc in place.
+
+        A sum of many polynomials accumulates into one dict this way and becomes
+        a NormalPoly once at the end, which prunes the zero terms once.
+        """
+        for key, coeff in self._terms.items():
+            if factor is not None:
+                coeff = coeff._times_rational(factor)
+            prev = acc.get(key)
+            acc[key] = coeff if prev is None else prev + coeff
 
     def __neg__(self) -> "NormalPoly":
         return NormalPoly({key: -coeff for key, coeff in self._terms.items()})
@@ -120,7 +131,9 @@ class NormalPoly:
                 for k in range(min(n1, m2) + 1):
                     w = factorial(k) * comb(n1, k) * comb(m2, k)
                     key = (m1 + m2 - k, n1 + n2 - k)
-                    acc[key] = acc.get(key, Scalar()) + (c if w == 1 else c * Fraction(w))
+                    term = c if w == 1 else c._times_rational(Fraction(w))
+                    prev = acc.get(key)
+                    acc[key] = term if prev is None else prev + term
         return NormalPoly(acc)
 
     def adjoint(self) -> "NormalPoly":

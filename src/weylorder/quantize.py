@@ -53,11 +53,11 @@ class ExpectedDynamics:
 
 
 def quantize_side(side) -> NormalPoly:
-    """Sum of coeff * weyl_normal_form(j, k) over the side's monomials."""
-    acc = NormalPoly.zero()
+    """Sum of coeff * weyl_normal_form(j, k) over the side's monomials, in one dict."""
+    acc: dict = {}
     for (j, k), coeff in _clean_side(side, "side").items():
-        acc = acc + weyl_normal_form(j, k) * coeff
-    return acc
+        weyl_normal_form(j, k)._add_into(acc, coeff)
+    return NormalPoly(acc)
 
 
 def quantize_system(system: PolySystem) -> ExpectedDynamics:

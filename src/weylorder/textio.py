@@ -213,26 +213,24 @@ def _component_latex(f: Fraction, symbol: str) -> str:
     return rf"\frac{{{head}}}{{{f.denominator}}}"
 
 
-def _scalar_pieces(c: Scalar, latex: bool):
-    symbols = ["", "i", r"\sqrt{2}" if latex else "sqrt2",
-               r"i\sqrt{2}" if latex else "i*sqrt2"]
-    comps = [c.x_re, c.x_im, c.y_re, c.y_im]
-    fmt = _component_latex if latex else _component_plain
-    return [(f, fmt(f, s)) for f, s in zip(comps, symbols) if f]
+_PLAIN_SYMBOLS = ("", "i", "sqrt2", "i*sqrt2")
+_LATEX_SYMBOLS = ("", "i", r"\sqrt{2}", r"i\sqrt{2}")
 
 
 def _scalar_text(c: Scalar, latex: bool):
     """Return (magnitude_text, negated_for_display, is_bare_positive_integer)."""
-    pieces = _scalar_pieces(c, latex)
-    negated = pieces[0][0] < 0
-    if negated:
-        pieces = _scalar_pieces(-c, latex)
-    body = pieces[0][1]
-    for f, text in pieces[1:]:
-        body += (" - " if f < 0 else " + ") + text
-    bare = (len(pieces) == 1 and pieces[0][0].denominator == 1
-            and c.is_rational())
-    return body, negated, bare
+    symbols = _LATEX_SYMBOLS if latex else _PLAIN_SYMBOLS
+    fmt = _component_latex if latex else _component_plain
+    pieces = [(f, s) for f, s in zip((c.x_re, c.x_im, c.y_re, c.y_im), symbols) if f]
+    lead, symbol = pieces[0]
+    negated = lead.numerator < 0
+    if len(pieces) == 1:  # every Weyl coefficient has exactly one component
+        return fmt(lead, symbol), negated, not symbol and lead.denominator == 1
+    # the component texts carry no sign; each sign is read relative to the lead's
+    body = fmt(lead, symbol)
+    for f, s in pieces[1:]:
+        body += (" - " if (f.numerator < 0) != negated else " + ") + fmt(f, s)
+    return body, negated, False
 
 
 def _term_plain(m: int, n: int) -> str:
@@ -276,9 +274,8 @@ def render(poly: NormalPoly, format: str = "plain") -> str:
         body, negated, bare = _scalar_text(coeff, latex)
         term = _term_latex(m, n) if latex else _term_plain(m, n)
         if not term:
-            piece = body if bare or len(_scalar_pieces(coeff, latex)) == 1 else f"({body})"
-            if not bare and " " in body:
-                piece = f"({body})"
+            # only a coefficient of several components has a space in its text
+            piece = f"({body})" if " " in body else body
         elif bare and body == "1":
             piece = term
         elif bare:

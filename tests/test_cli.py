@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from weylorder.altroutes import weyl_via_cg
-from weylorder.cli import main
+from weylorder.cli import build_parser, main
 from weylorder.textio import render
 
 
@@ -88,6 +92,16 @@ def test_negative_caps_rejected(capsys):
         assert code == 2
         assert out == ""
         assert "cap must be nonnegative" in err
+
+
+def test_negative_max_degree_rejected(capsys):
+    # "check --max -1" used to print "0 cases ok" six times and exit 0
+    code, out, err = run(capsys, "check", "--max", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--max" in err and "must be nonnegative" in err
+    code, out, _ = run(capsys, "check", "--max", "0")
+    assert code == 0 and out.endswith("all checks passed\n")
 
 
 def test_zero_caps_accepted(capsys):
@@ -231,6 +245,24 @@ def test_check_computes_each_route_once_per_pair(monkeypatch):
         assert {(j, k) for name, j, k in calls if name == "brute"} == set(pairs)
         forced = report.results[1]
         assert forced.passed and forced.cases == len(pairs)
+
+
+def fresh_process(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-m", "weylorder.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout
+
+
+def test_cached_parser_matches_fresh_process(capsys):
+    assert build_parser() is build_parser()
+    sequence = (["weyl", "3", "2", "--format", "latex"], ["weyl", "3", "2"],
+                ["weyl", "3", "2", "--method", "nope"], ["weyl", "3", "2"])
+    for argv in sequence:
+        assert run(capsys, *argv)[:2] == fresh_process(*argv)
+    assert run(capsys, *sequence[2])[0] == 2
+    assert run(capsys, *sequence[3])[1] == run(capsys, *sequence[1])[1]
 
 
 def test_usage_error_exit_code(capsys):

@@ -25,6 +25,18 @@ def test_quantize_side_is_weyl_normal_form():
             assert quantize_side({(j, k): 1}) == weyl_normal_form(j, k)
 
 
+def test_quantize_side_prunes_cancelled_terms():
+    # q^2 + p^2 = 2 ad a + 1: the ad^2 and a^2 terms of the two monomials cancel
+    side = {(2, 0): 1, (0, 2): 1}
+    poly = quantize_side(side)
+    assert poly == NormalPoly({(1, 1): Scalar(x_re=2), (0, 0): Scalar(x_re=1)})
+    assert [key for key, _ in poly.items()] == [(1, 1), (0, 0)]
+    term_by_term = NormalPoly.zero()
+    for (j, k), coeff in side.items():
+        term_by_term = term_by_term + weyl_normal_form(j, k) * coeff
+    assert poly == term_by_term
+
+
 def test_harmonic_oscillator():
     system = PolySystem(qdot={(0, 1): 1}, pdot={(1, 0): -1})
     dyn = quantize_system(system)

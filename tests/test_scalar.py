@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -81,6 +83,29 @@ def test_floats_rejected():
         Scalar.from_rational(0.5)
 
 
+def test_public_constructor_rejects_float_and_bool():
+    for bad in (0.5, True, False):
+        for slot in ("x_re", "x_im", "y_re", "y_im"):
+            with pytest.raises(TypeError):
+                Scalar(**{slot: bad})
+        with pytest.raises(TypeError):
+            Scalar.weyl_unit(1, 1, bad)
+
+
+def test_components_are_read_only():
+    for value in (Scalar(1, 2, 3, 4), Scalar.weyl_unit(3, 2), SQRT2 * I + rational(1)):
+        for slot in ("x_re", "x_im", "y_re", "y_im"):
+            with pytest.raises(AttributeError):
+                setattr(value, slot, Fraction(5))
+            with pytest.raises(AttributeError):
+                delattr(value, slot)
+        with pytest.raises(AttributeError):
+            value.extra = 1  # no __dict__ beside the four slots
+    value = Scalar(1, Fraction(-2, 3), 0, 4)
+    assert copy.copy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 scalars = st.builds(Scalar, fracs, fracs, fracs, fracs)
 
@@ -92,6 +117,27 @@ def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+@given(fracs, fracs, fracs, fracs)
+def test_trusted_constructor_matches_public(x_re, x_im, y_re, y_im):
+    trusted = Scalar._of(x_re, x_im, y_re, y_im)
+    public = Scalar(x_re, x_im, y_re, y_im)
+    assert trusted == public and hash(trusted) == hash(public)
+    # int components reach the same value through the public constructor's check
+    if all(f.denominator == 1 for f in (x_re, x_im, y_re, y_im)):
+        ints = Scalar(int(x_re), int(x_im), int(y_re), int(y_im))
+        assert ints == trusted and hash(ints) == hash(trusted)
+
+
+@given(scalars, scalars, st.integers(min_value=-3, max_value=3), st.integers(0, 7))
+def test_ring_results_match_public_constructor(a, b, j, k):
+    # every operation builds its result through the trusted constructor
+    for value in (a + b, a - b, -a, a * b, a * 3, a.conj(), Scalar.weyl_unit(abs(j), k, a.x_re)):
+        parts = (value.x_re, value.x_im, value.y_re, value.y_im)
+        assert all(type(part) is Fraction for part in parts)
+        public = Scalar(*parts)
+        assert value == public and hash(value) == hash(public)
 
 
 @given(scalars, scalars)

@@ -63,6 +63,76 @@ def test_render_plain():
     assert render(NormalPoly({(0, 0): Scalar(x_re=1, y_re=1)})) == "(1 + sqrt2)"
 
 
+# (component, value) -> (plain, latex, plain with ad a^2, latex with ad a^2)
+SINGLE_COMPONENT_GOLDEN = [
+    ("x_re", Fraction(3), "3", "3", "3 ad a^2", r"3\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("x_re", Fraction(-3), "-3", "-3", "-3 ad a^2", r"-3\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("x_re", Fraction(3, 4), "3/4", r"\frac{3}{4}", "(3/4) ad a^2",
+     r"\left(\frac{3}{4}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("x_re", Fraction(-3, 4), "-3/4", r"-\frac{3}{4}", "-(3/4) ad a^2",
+     r"-\left(\frac{3}{4}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("x_re", Fraction(1), "1", "1", "ad a^2", r"\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("x_re", Fraction(-1), "-1", "-1", "-ad a^2", r"-\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("x_im", Fraction(3), "3*i", "3i", "(3*i) ad a^2",
+     r"\left(3i\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("x_im", Fraction(-3), "-3*i", "-3i", "-(3*i) ad a^2",
+     r"-\left(3i\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("x_im", Fraction(3, 4), "3*i/4", r"\frac{3i}{4}", "(3*i/4) ad a^2",
+     r"\left(\frac{3i}{4}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("x_im", Fraction(-3, 4), "-3*i/4", r"-\frac{3i}{4}", "-(3*i/4) ad a^2",
+     r"-\left(\frac{3i}{4}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("x_im", Fraction(-1), "-i", "-i", "-(i) ad a^2",
+     r"-\left(i\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("y_re", Fraction(3), "3*sqrt2", r"3\sqrt{2}", "(3*sqrt2) ad a^2",
+     r"\left(3\sqrt{2}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("y_re", Fraction(-3), "-3*sqrt2", r"-3\sqrt{2}", "-(3*sqrt2) ad a^2",
+     r"-\left(3\sqrt{2}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("y_re", Fraction(3, 4), "3*sqrt2/4", r"\frac{3\sqrt{2}}{4}", "(3*sqrt2/4) ad a^2",
+     r"\left(\frac{3\sqrt{2}}{4}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("y_re", Fraction(-3, 4), "-3*sqrt2/4", r"-\frac{3\sqrt{2}}{4}", "-(3*sqrt2/4) ad a^2",
+     r"-\left(\frac{3\sqrt{2}}{4}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("y_re", Fraction(1, 4), "sqrt2/4", r"\frac{\sqrt{2}}{4}", "(sqrt2/4) ad a^2",
+     r"\left(\frac{\sqrt{2}}{4}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("y_im", Fraction(3), "3*i*sqrt2", r"3i\sqrt{2}", "(3*i*sqrt2) ad a^2",
+     r"\left(3i\sqrt{2}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("y_im", Fraction(-3), "-3*i*sqrt2", r"-3i\sqrt{2}", "-(3*i*sqrt2) ad a^2",
+     r"-\left(3i\sqrt{2}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("y_im", Fraction(3, 4), "3*i*sqrt2/4", r"\frac{3i\sqrt{2}}{4}", "(3*i*sqrt2/4) ad a^2",
+     r"\left(\frac{3i\sqrt{2}}{4}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+    ("y_im", Fraction(-3, 4), "-3*i*sqrt2/4", r"-\frac{3i\sqrt{2}}{4}",
+     "-(3*i*sqrt2/4) ad a^2", r"-\left(\frac{3i\sqrt{2}}{4}\right)\hat{a}^{\dagger}\hat{a}^{2}"),
+]
+
+
+@pytest.mark.parametrize("slot, value, plain, latex, plain_term, latex_term",
+                         SINGLE_COMPONENT_GOLDEN)
+def test_render_single_component_golden(slot, value, plain, latex, plain_term, latex_term):
+    coeff = Scalar(**{slot: value})
+    assert render(NormalPoly({(0, 0): coeff})) == plain
+    assert render(NormalPoly({(0, 0): coeff}), "latex") == latex
+    assert render(NormalPoly({(1, 2): coeff})) == plain_term
+    assert render(NormalPoly({(1, 2): coeff}), "latex") == latex_term
+
+
+def test_render_sign_after_the_first_term():
+    lead = {(2, 0): Scalar(x_re=1)}
+    assert render(NormalPoly({**lead, (1, 0): Scalar(x_im=Fraction(-3, 4))})) == \
+        "ad^2 - (3*i/4) ad"
+    assert render(NormalPoly({**lead, (0, 0): Scalar(y_re=3)}), "latex") == \
+        r"\hat{a}^{\dagger 2} + 3\sqrt{2}"
+    # several components: signs are read relative to the leading component
+    mixed = Scalar(-1, 2, 0, Fraction(-3, 4))
+    assert render(NormalPoly({**lead, (0, 0): mixed})) == \
+        "ad^2 - (1 - 2*i + 3*i*sqrt2/4)"
+    assert render(NormalPoly({**lead, (1, 0): mixed}), "latex") == \
+        (r"\hat{a}^{\dagger 2} - \left(1 - 2i + \frac{3i\sqrt{2}}{4}\right)"
+         r"\hat{a}^{\dagger}")
+    assert render(NormalPoly({**lead, (0, 0): Scalar(0, Fraction(-1, 2), 1, 0)})) == \
+        "ad^2 - (i/2 - sqrt2)"
+    assert render(NormalPoly({**lead, (1, 0): Scalar(2, 0, 0, 1)})) == \
+        "ad^2 + (2 + i*sqrt2) ad"
+
+
 def test_render_structured():
     out = json.loads(render(NormalPoly({(0, 0): Scalar(x_re=1, y_re=1)}),
                             "structured"))
