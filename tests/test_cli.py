@@ -248,8 +248,8 @@ def test_check_computes_each_route_once_per_pair(monkeypatch):
 
 
 def fresh_process(*argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     done = subprocess.run([sys.executable, "-m", "weylorder.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     return done.returncode, done.stdout
@@ -259,10 +259,9 @@ def test_cached_parser_matches_fresh_process(capsys):
     assert build_parser() is build_parser()
     sequence = (["weyl", "3", "2", "--format", "latex"], ["weyl", "3", "2"],
                 ["weyl", "3", "2", "--method", "nope"], ["weyl", "3", "2"])
-    for argv in sequence:
-        assert run(capsys, *argv)[:2] == fresh_process(*argv)
-    assert run(capsys, *sequence[2])[0] == 2
-    assert run(capsys, *sequence[3])[1] == run(capsys, *sequence[1])[1]
+    in_process = [run(capsys, *argv)[:2] for argv in sequence]
+    assert in_process == [fresh_process(*argv) for argv in sequence]
+    assert [code for code, _ in in_process] == [0, 0, 2, 0]
 
 
 def test_usage_error_exit_code(capsys):
