@@ -2,8 +2,8 @@
 
 A NormalPoly is a finite mapping (m, n) -> Scalar standing for
 sum_{m,n} c_mn ad^m a^n, the universal output form of the package.
-`normal_order_word` is the ground-truth route: it literally applies the
-rewrite a ad -> ad a + 1 until no inversion remains.
+`normal_order_word` is the ground-truth route: it applies a ad = ad a + 1
+one letter at a time, right to left, and memoizes whole words.
 """
 from __future__ import annotations
 
@@ -143,37 +143,35 @@ class NormalPoly:
 
 # -- word rewriting --------------------------------------------------------
 
-_NO_CACHE: dict = {}
+_NO_CACHE: dict = {}  # whole words only: flat word tuple -> finished normal form
 
 
 def _normal_order_int(word: tuple) -> dict:
-    """Integer-coefficient normal form of a boson word, by exhaustive rewriting.
+    """Integer-coefficient normal form {(m, n): c} of a boson word, letter by letter.
 
-    Each step rewrites the leftmost a ad pair to ad a + 1; suffix results are
-    memoized (confluence makes the rewrite order irrelevant).
+    The letters act right to left on the normal form of the suffix:
+    ad . ad^m a^n = ad^(m+1) a^n, and a . ad^m a^n = ad^m a^(n+1) + m ad^(m-1) a^n,
+    which is a ad -> ad a + 1 applied m times.  Every coefficient is positive.
     """
-    cached = _NO_CACHE.get(word)
-    if cached is not None:
-        return cached
-    result = None
-    for idx in range(len(word) - 1):
-        if word[idx] == ANNIHILATE and word[idx + 1] == CREATE:
-            swapped = word[:idx] + (CREATE, ANNIHILATE) + word[idx + 2:]
-            dropped = word[:idx] + word[idx + 2:]
-            acc = dict(_normal_order_int(swapped))
-            for key, c in _normal_order_int(dropped).items():
-                acc[key] = acc.get(key, 0) + c
-            result = {key: c for key, c in acc.items() if c}
-            break
-    if result is None:
-        m = word.count(CREATE)
-        result = {(m, len(word) - m): 1}
-    _NO_CACHE[word] = result
-    return result
+    if word in _NO_CACHE:
+        return _NO_CACHE[word]
+    terms = {(0, 0): 1}
+    for letter in reversed(word):
+        if letter == CREATE:
+            terms = {(m + 1, n): c for (m, n), c in terms.items()}
+        else:
+            step: dict = {}
+            for (m, n), c in terms.items():
+                step[m, n + 1] = step.get((m, n + 1), 0) + c
+                if m:
+                    step[m - 1, n] = step.get((m - 1, n), 0) + m * c
+            terms = step
+    _NO_CACHE[word] = terms
+    return terms
 
 
 def normal_order_word(word) -> NormalPoly:
-    """Exact normal-ordered equivalent of a word over {CREATE, ANNIHILATE}."""
+    """Exact normal form of a word over {CREATE, ANNIHILATE}, memoized per whole word."""
     word = tuple(word)
     for letter in word:
         if letter not in (CREATE, ANNIHILATE):

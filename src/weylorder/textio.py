@@ -180,8 +180,10 @@ def parse_boson_word(text: str) -> tuple:
             letter = ANNIHILATE
         else:
             raise ParseError(f"unexpected token {tok.text!r}", tok.span)
-        power = _take_exponent(cur)
-        letters.extend([letter] * power)
+        try:
+            letters.extend([letter] * _take_exponent(cur))
+        except OverflowError:  # a power past sys.maxsize
+            raise ParseError("power too large", tok.span) from None
         if cur.peek() is not None and cur.peek().kind == "star":
             cur.take()
     return tuple(letters)
@@ -335,7 +337,7 @@ class SystemFormatError(ValueError):
     """Malformed system document; the message names the offending entry."""
 
 
-_COEFF_RE = re.compile(r"-?\d+(/\d+)?\Z")
+_COEFF_RE = re.compile(r"-?\d+(/0*[1-9]\d*)?\Z")  # no zero denominator
 
 
 def _read_side(obj, name: str) -> dict:
@@ -374,6 +376,6 @@ def load_system(path) -> PolySystem:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SystemFormatError(f"not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SystemFormatError(f"not valid UTF-8 JSON: {exc}") from exc
     return system_from_obj(obj)

@@ -120,6 +120,22 @@ def test_normal_order(capsys):
     assert out == "ad a\n"
 
 
+@pytest.mark.parametrize("expr", ["a ad^2000", "a^32 ad^32"])
+def test_normal_order_deep_words(capsys, expr):
+    # one inversion per recursion level used to end in RecursionError
+    code, out, _ = run(capsys, "normal-order", expr)
+    assert code == 0
+    assert (code, out) == run(capsys, "normal-order", expr, "--route", "blasiak")[:2]
+
+
+def test_normal_order_huge_power(capsys):
+    # [letter] * power raised OverflowError past sys.maxsize
+    code, out, err = run(capsys, "normal-order", "ad^99999999999999999999")
+    assert code == 2
+    assert out == ""
+    assert "power too large" in err
+
+
 def test_normal_order_parse_error(capsys):
     code, _, err = run(capsys, "normal-order", "a !!")
     assert code == 2
@@ -181,6 +197,25 @@ def test_quantize_malformed(capsys, tmp_path):
     code, _, err = run(capsys, "quantize", str(path))
     assert code == 2
     assert "qdot[0]" in err
+
+
+def test_quantize_zero_denominator(capsys, tmp_path):
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps({"qdot": [{"j": 0, "k": 1, "coeff": "1/0"}],
+                                "pdot": [{"j": 1, "k": 0, "coeff": "-1/00"}]}))
+    code, out, err = run(capsys, "quantize", str(path))
+    assert code == 2
+    assert out == ""
+    assert "qdot[0]" in err
+
+
+def test_quantize_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"qdot": [], "pdot": [], "note": "\xe9"}')
+    code, out, err = run(capsys, "quantize", str(path))
+    assert code == 2
+    assert out == ""
+    assert "UTF-8" in err
 
 
 def test_check_passes(capsys):

@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
+from weylorder import poly
+from weylorder.altroutes import blasiak_normal_order, blockify
 from weylorder.poly import (ANNIHILATE, CREATE, P, Q, NormalPoly, expand_qp_word,
                             normal_order_word)
 from weylorder.scalar import Scalar
@@ -57,6 +60,21 @@ def test_normal_order_word_against_differential_oracle(length):
         for t in (0, 1, 3):
             assert same_poly(apply_boson_word(word, unit(t)),
                              apply_normal_poly(poly, unit(t)))
+
+
+@given(st.lists(st.sampled_from((CREATE, ANNIHILATE)), max_size=40))
+def test_normal_order_word_equals_blasiak(word):
+    assert normal_order_word(word) == blasiak_normal_order(blockify(word))
+
+
+def test_rewrite_memo_holds_whole_words_only():
+    # a^30 ad^30 has 900 inversions; the memo once kept every suffix it met
+    word = (ANNIHILATE,) * 30 + (CREATE,) * 30
+    poly._NO_CACHE.pop(word, None)
+    before = len(poly._NO_CACHE)
+    normal_order_word(word)
+    assert len(poly._NO_CACHE) == before + 1
+    assert word in poly._NO_CACHE
 
 
 def test_word_concatenation_is_multiplication():
