@@ -151,7 +151,7 @@ def _normal_order_int(word: tuple) -> dict:
 
     The letters act right to left on the normal form of the suffix:
     ad . ad^m a^n = ad^(m+1) a^n, and a . ad^m a^n = ad^m a^(n+1) + m ad^(m-1) a^n,
-    which is a ad -> ad a + 1 applied m times.  Every coefficient is positive.
+    which is a ad -> ad a + 1 applied m times.  No coefficient cancels: all are positive.
     """
     if word in _NO_CACHE:
         return _NO_CACHE[word]

@@ -122,24 +122,20 @@ def test_normal_order(capsys):
 
 @pytest.mark.parametrize("expr", ["a ad^2000", "a^32 ad^32"])
 def test_normal_order_deep_words(capsys, expr):
-    # one inversion per recursion level used to end in RecursionError
+    # deep enough for RecursionError in an oracle that recurses once per inversion
     code, out, _ = run(capsys, "normal-order", expr)
     assert code == 0
     assert (code, out) == run(capsys, "normal-order", expr, "--route", "blasiak")[:2]
-
-
-def test_normal_order_huge_power(capsys):
-    # [letter] * power raised OverflowError past sys.maxsize
-    code, out, err = run(capsys, "normal-order", "ad^99999999999999999999")
-    assert code == 2
-    assert out == ""
-    assert "power too large" in err
 
 
 def test_normal_order_parse_error(capsys):
     code, _, err = run(capsys, "normal-order", "a !!")
     assert code == 2
     assert "at 2" in err
+    # a power past sys.maxsize: [letter] * power would raise OverflowError
+    code, out, err = run(capsys, "normal-order", "ad^99999999999999999999")
+    assert (code, out) == (2, "")
+    assert "power too large" in err
 
 
 def test_coeffs_h(capsys):
@@ -192,21 +188,13 @@ def test_quantize_empty(capsys, tmp_path):
 
 def test_quantize_malformed(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"qdot": [{"j": 0, "k": 1, "coeff": "0.5"}],
-                                "pdot": []}))
-    code, _, err = run(capsys, "quantize", str(path))
-    assert code == 2
-    assert "qdot[0]" in err
-
-
-def test_quantize_zero_denominator(capsys, tmp_path):
-    path = tmp_path / "zero_den.json"
-    path.write_text(json.dumps({"qdot": [{"j": 0, "k": 1, "coeff": "1/0"}],
-                                "pdot": [{"j": 1, "k": 0, "coeff": "-1/00"}]}))
-    code, out, err = run(capsys, "quantize", str(path))
-    assert code == 2
-    assert out == ""
-    assert "qdot[0]" in err
+    # a zero denominator passes a plain num/den pattern, then Fraction raises
+    for coeff in ("0.5", "1/0", "-3/00"):
+        path.write_text(json.dumps({"qdot": [{"j": 0, "k": 1, "coeff": coeff}],
+                                    "pdot": []}))
+        code, _, err = run(capsys, "quantize", str(path))
+        assert code == 2
+        assert "qdot[0]" in err
 
 
 def test_quantize_not_utf8(capsys, tmp_path):

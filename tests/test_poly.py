@@ -5,10 +5,9 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from weylorder import poly
 from weylorder.altroutes import blasiak_normal_order, blockify
-from weylorder.poly import (ANNIHILATE, CREATE, P, Q, NormalPoly, expand_qp_word,
-                            normal_order_word)
+from weylorder.poly import (_NO_CACHE, ANNIHILATE, CREATE, P, Q, NormalPoly,
+                            expand_qp_word, normal_order_word)
 from weylorder.scalar import Scalar
 
 from oracle import (apply_boson_word, apply_normal_poly, apply_qp_word, same_poly,
@@ -68,13 +67,13 @@ def test_normal_order_word_equals_blasiak(word):
 
 
 def test_rewrite_memo_holds_whole_words_only():
-    # a^30 ad^30 has 900 inversions; the memo once kept every suffix it met
+    # a^30 ad^30 has 900 inversions; a memo of suffixes would grow by hundreds
     word = (ANNIHILATE,) * 30 + (CREATE,) * 30
-    poly._NO_CACHE.pop(word, None)
-    before = len(poly._NO_CACHE)
+    _NO_CACHE.pop(word, None)
+    before = len(_NO_CACHE)
     normal_order_word(word)
-    assert len(poly._NO_CACHE) == before + 1
-    assert word in poly._NO_CACHE
+    assert len(_NO_CACHE) == before + 1
+    assert word in _NO_CACHE
 
 
 def test_word_concatenation_is_multiplication():
