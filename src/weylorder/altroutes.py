@@ -92,19 +92,13 @@ def falling(x: int, n: int) -> int:
     return out
 
 
-def blasiak_coeff(r, s, k: int) -> Fraction:
+def blasiak_coeff(x: BosonString, k: int) -> Fraction:
     """Expansion coefficient of ad^(d_M+k) a^k in the string's normal form."""
-    r = tuple(r)
-    s = tuple(s)
-    if len(r) != len(s):
-        raise ValueError("r and s must have equal length")
-    d = [0]
-    for rm, sm in zip(r, s):
-        d.append(d[-1] + rm - sm)
+    d = x.prefix_excess()
     total = 0
     for j in range(k + 1):
         prod = 1
-        for m, sm in enumerate(s, start=1):
+        for m, sm in enumerate(x.s, start=1):
             prod *= falling(d[m - 1] + j, sm)
         total += comb(k, j) * (-1) ** (k - j) * prod
     return Fraction(total, factorial(k))
@@ -117,12 +111,11 @@ def blasiak_normal_order(x: BosonString) -> NormalPoly:
     if d_m >= 0:
         lo, hi = x.s[0], sum(x.s)
         for k in range(lo, hi + 1):
-            terms[(d_m + k, k)] = Scalar.from_rational(blasiak_coeff(x.r, x.s, k))
+            terms[(d_m + k, k)] = Scalar.from_rational(blasiak_coeff(x, k))
     else:
         # adjoint string: roles swapped and sequences reversed
-        s_bar = x.s[::-1]
-        r_bar = x.r[::-1]
+        adjoint = BosonString(x.s[::-1], x.r[::-1])
         lo, hi = x.r[-1], sum(x.r)
         for k in range(lo, hi + 1):
-            terms[(k, -d_m + k)] = Scalar.from_rational(blasiak_coeff(s_bar, r_bar, k))
+            terms[(k, -d_m + k)] = Scalar.from_rational(blasiak_coeff(adjoint, k))
     return NormalPoly(terms)

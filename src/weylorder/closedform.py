@@ -20,15 +20,6 @@ from .poly import NormalPoly
 from .scalar import Scalar
 
 
-def binom(a: int, b: int) -> int:
-    """Binomial coefficient, zero when a < b or b < 0."""
-    if a < 0:
-        raise ValueError("upper index must be nonnegative")
-    if b < 0 or b > a:
-        return 0
-    return comb(a, b)
-
-
 def lambda_factor(j: int, k: int, u: int, v: int) -> int:
     """Multiplicity of each sign monomial in each slot: (j+k-u-v)! (u+v)!"""
     if u + v > j + k:
@@ -46,7 +37,7 @@ def xi_factor(j: int, k: int, u: int, v: int) -> Fraction:
 
 def zeta_sum(j: int, k: int, t: int) -> int:
     """Alternating-sign Vandermonde convolution sum."""
-    return sum((-1) ** m * binom(j, t - m) * binom(k, m) for m in range(t + 1))
+    return sum((-1) ** m * comb(j, t - m) * comb(k, m) for m in range(t + 1))
 
 
 def zeta_row(j: int, k: int) -> list:

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import ANNIHILATE, CREATE, P, Q, NormalPoly
+from .poly import ANNIHILATE, CREATE, NormalPoly
 from .quantize import PolySystem
 from .scalar import Scalar
 
@@ -89,81 +89,10 @@ def _take_exponent(cur: _Cursor, default: int = 1) -> int:
         span = num.span if num is not None else cur.end_span()
         raise ParseError("exponent must be a nonnegative integer", span)
     cur.take()
-    return int(num.text)
-
-
-def _parse_monomial(cur: _Cursor):
-    """One unsigned monomial: [coeff ['*']] [q['^'j] ['*']] [p['^'k]]."""
-    start_tok = cur.peek()
-    if start_tok is None:
-        raise ParseError("expected a monomial", cur.end_span())
-    coeff = Fraction(1)
-    saw_anything = False
-    if start_tok.kind == "number":
-        cur.take()
-        coeff = Fraction(start_tok.text)
-        saw_anything = True
-        if cur.peek() is not None and cur.peek().kind == "star":
-            cur.take()
-    j = k = 0
-    seen_q = seen_p = False
-    while cur.peek() is not None and cur.peek().kind in ("q", "p"):
-        tok = cur.take()
-        if tok.kind == "q":
-            if seen_q:
-                raise ParseError("non-monomial: q appears twice", tok.span)
-            if seen_p:
-                raise ParseError("canonical order is q before p", tok.span)
-            seen_q = True
-            j = _take_exponent(cur)
-        else:
-            if seen_p:
-                raise ParseError("non-monomial: p appears twice", tok.span)
-            seen_p = True
-            k = _take_exponent(cur)
-        saw_anything = True
-        if cur.peek() is not None and cur.peek().kind == "star":
-            cur.take()
-    if not saw_anything:
-        raise ParseError(f"unexpected token {start_tok.text!r}", start_tok.span)
-    return coeff, j, k
-
-
-def parse_qp_monomial(text: str):
-    """Parse "[coeff] q^j p^k" and return (coeff: Fraction, (j, k))."""
-    cur = _Cursor(tokenize(text), text)
-    if cur.peek() is None:
-        raise ParseError("empty input", (0, max(len(text), 1)))
-    coeff, j, k = _parse_monomial(cur)
-    trailing = cur.peek()
-    if trailing is not None:
-        if trailing.kind == "q":
-            raise ParseError("non-monomial input", trailing.span)
-        raise ParseError(f"unexpected token {trailing.text!r}", trailing.span)
-    return coeff, (j, k)
-
-
-def parse_qp_poly(text: str) -> dict:
-    """Parse a signed sum of q/p monomials into a sparse (j, k) -> Fraction map."""
-    cur = _Cursor(tokenize(text), text)
-    if cur.peek() is None:
-        raise ParseError("empty input", (0, max(len(text), 1)))
-    acc: dict = {}
-    sign = Fraction(1)
-    first = True
-    while cur.peek() is not None:
-        tok = cur.peek()
-        if tok.kind in ("plus", "minus"):
-            cur.take()
-            sign = Fraction(-1) if tok.kind == "minus" else Fraction(1)
-        elif not first:
-            raise ParseError("expected '+' or '-' between monomials", tok.span)
-        coeff, j, k = _parse_monomial(cur)
-        key = (j, k)
-        acc[key] = acc.get(key, Fraction(0)) + sign * coeff
-        sign = Fraction(1)
-        first = False
-    return {key: c for key, c in acc.items() if c}
+    try:
+        return int(num.text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError("exponent has too many digits", num.span) from None
 
 
 def parse_boson_word(text: str) -> tuple:
@@ -291,46 +220,6 @@ def render(poly: NormalPoly, format: str = "plain") -> str:
     return " ".join(out)
 
 
-def render_qp_poly(mapping) -> str:
-    """Render a sparse (j, k) -> Fraction map; parse_qp_poly inverts this."""
-    items = sorted(mapping.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
-    if not items:
-        return "0"
-    out = []
-    for (j, k), coeff in items:
-        if not coeff:
-            continue
-        mag = abs(coeff)
-        factors = []
-        if mag != 1 or (j == 0 and k == 0):
-            factors.append(str(mag.numerator) if mag.denominator == 1
-                           else _frac_str(mag))
-        if j:
-            factors.append("q" if j == 1 else f"q^{j}")
-        if k:
-            factors.append("p" if k == 1 else f"p^{k}")
-        piece = " ".join(factors)
-        if not out:
-            out.append(("-" if coeff < 0 else "") + piece)
-        else:
-            out.append(("- " if coeff < 0 else "+ ") + piece)
-    return " ".join(out) if out else "0"
-
-
-def render_boson_word(word) -> str:
-    """Render a boson word as run-length powers, e.g. "ad^2 a"."""
-    if not word:
-        return "1"
-    runs = []
-    for letter in word:
-        if runs and runs[-1][0] == letter:
-            runs[-1][1] += 1
-        else:
-            runs.append([letter, 1])
-    return " ".join(letter if count == 1 else f"{letter}^{count}"
-                    for letter, count in runs)
-
-
 # -- system files ----------------------------------------------------------
 
 class SystemFormatError(ValueError):
@@ -360,7 +249,10 @@ def _read_side(obj, name: str) -> dict:
         if not isinstance(coeff, str) or not _COEFF_RE.match(coeff):
             raise SystemFormatError(
                 f"{where}: coeff must be an exact rational string num/den, got {coeff!r}")
-        value = Fraction(coeff)
+        try:
+            value = Fraction(coeff)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise SystemFormatError(f"{where}: coeff has too many digits") from None
         side[(j, k)] = side.get((j, k), Fraction(0)) + value
     return side
 
@@ -376,6 +268,6 @@ def load_system(path) -> PolySystem:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer
             raise SystemFormatError(f"not valid UTF-8 JSON: {exc}") from exc
     return system_from_obj(obj)

@@ -58,13 +58,13 @@ def test_blockify():
 
 
 def test_blasiak_coeff_examples():
-    assert blasiak_coeff((1,), (1,), 1) == 1
-    assert blasiak_coeff((1, 0), (0, 1), 0) == 1
-    assert blasiak_coeff((1, 0), (0, 1), 1) == 1
+    assert blasiak_coeff(BosonString((1,), (1,)), 1) == 1
+    assert blasiak_coeff(BosonString((1, 0), (0, 1)), 0) == 1
+    assert blasiak_coeff(BosonString((1, 0), (0, 1)), 1) == 1
     # pure creation string: only k = 0 survives
-    assert blasiak_coeff((2, 3), (0, 0), 0) == 1
+    assert blasiak_coeff(BosonString((2, 3), (0, 0)), 0) == 1
     for k in range(1, 4):
-        assert blasiak_coeff((2, 3), (0, 0), k) == 0
+        assert blasiak_coeff(BosonString((2, 3), (0, 0)), k) == 0
 
 
 def test_blasiak_examples():

@@ -136,6 +136,10 @@ def test_normal_order_parse_error(capsys):
     code, out, err = run(capsys, "normal-order", "ad^99999999999999999999")
     assert (code, out) == (2, "")
     assert "power too large" in err
+    # more digits than int() converts (sys.get_int_max_str_digits)
+    code, out, err = run(capsys, "normal-order", "ad^" + "9" * 5000)
+    assert (code, out) == (2, "")
+    assert "too many digits (at 3..5003)" in err
 
 
 def test_coeffs_h(capsys):
@@ -188,8 +192,9 @@ def test_quantize_empty(capsys, tmp_path):
 
 def test_quantize_malformed(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    # a zero denominator passes a plain num/den pattern, then Fraction raises
-    for coeff in ("0.5", "1/0", "-3/00"):
+    # a zero denominator passes a plain num/den pattern, then Fraction raises;
+    # so does a number of more digits than int() converts
+    for coeff in ("0.5", "1/0", "-3/00", "9" * 5000):
         path.write_text(json.dumps({"qdot": [{"j": 0, "k": 1, "coeff": coeff}],
                                     "pdot": []}))
         code, _, err = run(capsys, "quantize", str(path))

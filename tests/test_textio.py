@@ -7,51 +7,35 @@ from weylorder.closedform import weyl_normal_form
 from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
 from weylorder.textio import (ParseError, SystemFormatError, load_system,
-                              parse_boson_word, parse_qp_monomial, parse_qp_poly,
-                              render, render_boson_word, render_qp_poly,
-                              system_from_obj)
+                              parse_boson_word, render, system_from_obj)
 
 
-def test_parse_qp_monomial():
-    assert parse_qp_monomial("q^2 p") == (Fraction(1), (2, 1))
-    assert parse_qp_monomial("3/2 p^3") == (Fraction(3, 2), (0, 3))
-    assert parse_qp_monomial("q") == (Fraction(1), (1, 0))
-    assert parse_qp_monomial("5") == (Fraction(5), (0, 0))
-
-
-def test_parse_qp_monomial_errors():
-    with pytest.raises(ParseError):
-        parse_qp_monomial("q p q")
-    with pytest.raises(ParseError, match="q before p"):
-        parse_qp_monomial("p q")
-    with pytest.raises(ParseError):
-        parse_qp_monomial("")
-    with pytest.raises(ParseError):
-        parse_qp_monomial("q^1/2")
+def test_parse_boson_word_errors():
+    with pytest.raises(ParseError, match="empty input"):
+        parse_boson_word("")
+    with pytest.raises(ParseError, match="nonnegative integer"):
+        parse_boson_word("a^1/2")
+    with pytest.raises(ParseError, match="nonnegative integer"):
+        parse_boson_word("ad^")
+    with pytest.raises(ParseError, match="unexpected token 'p'"):
+        parse_boson_word("a ad p")
 
 
 def test_parse_error_has_span():
     try:
-        parse_qp_monomial("q !")
+        parse_boson_word("a !")
     except ParseError as err:
         assert err.span == (2, 3)
     else:
         pytest.fail("expected ParseError")
 
 
-def test_parse_qp_poly():
-    assert parse_qp_poly("3/2 q p^3 - p") == {(1, 3): Fraction(3, 2),
-                                              (0, 1): Fraction(-1)}
-    assert parse_qp_poly("q - q") == {}
-    assert parse_qp_poly("-q + 2 p") == {(1, 0): Fraction(-1), (0, 1): Fraction(2)}
-    with pytest.raises(ParseError):
-        parse_qp_poly("")
-
-
 def test_parse_boson_word():
     assert parse_boson_word("ad^2 a") == (CREATE, CREATE, ANNIHILATE)
     assert parse_boson_word("a ad") == (ANNIHILATE, CREATE)
     assert parse_boson_word("ad^0") == ()
+    assert parse_boson_word("a^3 ad a^2") == (ANNIHILATE,) * 3 + (CREATE,) + (ANNIHILATE,) * 2
+    assert parse_boson_word("ad^2 * a^0 ad") == (CREATE, CREATE, CREATE)
     with pytest.raises(ParseError):
         parse_boson_word("q")
 
@@ -153,16 +137,12 @@ def test_render_is_injective_on_samples():
         assert len(set(rendered)) == len(polys)
 
 
-def test_qp_poly_round_trip():
-    mapping = {(1, 3): Fraction(3, 2), (0, 1): Fraction(-1), (2, 0): Fraction(7)}
-    assert parse_qp_poly(render_qp_poly(mapping)) == mapping
-    assert render_qp_poly({}) == "0"
-
-
 def test_boson_word_round_trip():
-    for text in ("ad^2 a", "a ad", "a^3 ad a^2"):
+    # the plain rendering of a normal-ordered word is the word again
+    for text in ("ad^2 a", "ad a^3", "a", "ad^4"):
         word = parse_boson_word(text)
-        assert parse_boson_word(render_boson_word(word)) == word
+        assert render(normal_order_word(word)) == text
+        assert parse_boson_word(render(normal_order_word(word))) == word
 
 
 def test_system_from_obj():
@@ -192,9 +172,10 @@ def test_load_system(tmp_path):
     system = load_system(path)
     assert dict(system.qdot) == {(0, 1): Fraction(1)}
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(SystemFormatError):
-        load_system(bad)
+    for text in ("{not json", '{"qdot": [{"j": ' + "9" * 5000 + ', "k": 0}]}'):
+        bad.write_text(text)
+        with pytest.raises(SystemFormatError):
+            load_system(bad)
 
 
 def test_negative_exponent_rejected():
