@@ -268,6 +268,8 @@ def load_system(path) -> PolySystem:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SystemFormatError(f"not valid UTF-8 JSON: {exc}") from exc
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
+            raise SystemFormatError(f"number has too many digits: {exc}") from exc
     return system_from_obj(obj)

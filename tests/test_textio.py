@@ -172,9 +172,10 @@ def test_load_system(tmp_path):
     system = load_system(path)
     assert dict(system.qdot) == {(0, 1): Fraction(1)}
     bad = tmp_path / "bad.json"
-    for text in ("{not json", '{"qdot": [{"j": ' + "9" * 5000 + ', "k": 0}]}'):
+    for text, match in (("{not json", "not valid"),
+                        ('{"qdot": [{"j": ' + "9" * 5000 + ', "k": 0}]}', "too many digits")):
         bad.write_text(text)
-        with pytest.raises(SystemFormatError):
+        with pytest.raises(SystemFormatError, match=match):
             load_system(bad)
 
 
