@@ -1,14 +1,15 @@
-"""Expression parsing, system-file ingestion and deterministic rendering.
+"""Boson-word parsing, system-file ingestion and deterministic rendering.
 
-Grammar notes: the creation operator is spelled "ad" (ASCII; the LaTeX
-renderer restores the dagger).  All numeric literals are exact rationals
-written num or num/den; decimals are rejected everywhere.
+Grammar notes: a boson word is a product of factors "a" and "ad" (the
+creation operator, spelled in ASCII; the LaTeX renderer restores the dagger).
+A factor may carry a power "^N" with N a nonnegative integer and may be
+followed by "*"; blanks may stand between any two parts.  Exact rationals
+num or num/den appear only as system-file coefficients; decimals are rejected.
 """
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import ANNIHILATE, CREATE, NormalPoly
@@ -24,97 +25,41 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at {self.span[0]}..{self.span[1]})")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self):
-        return (self.start, self.end)
-
-
-_TOKEN_RE = re.compile(
-    r"(?P<number>\d+(?:/\d+)?)|(?P<ad>ad)|(?P<a>a)|(?P<q>q)|(?P<p>p)"
-    r"|(?P<caret>\^)|(?P<plus>\+)|(?P<minus>-)|(?P<star>\*)"
-)
-
-
-def tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", (pos, pos + 1))
-        tokens.append(Token(match.lastgroup, match.group(), match.start(), match.end()))
-        pos = match.end()
-    return tokens
-
-
-class _Cursor:
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def end_span(self):
-        if self.tokens:
-            last = self.tokens[-1]
-            return (last.end, last.end)
-        return (len(self.text), len(self.text))
-
-
-def _take_exponent(cur: _Cursor, default: int = 1) -> int:
-    tok = cur.peek()
-    if tok is None or tok.kind != "caret":
-        return default
-    cur.take()
-    num = cur.peek()
-    if num is None or num.kind != "number" or "/" in num.text:
-        span = num.span if num is not None else cur.end_span()
-        raise ParseError("exponent must be a nonnegative integer", span)
-    cur.take()
-    try:
-        return int(num.text)
-    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        raise ParseError("exponent has too many digits", num.span) from None
+# One factor with the blanks around it.  A power is read as num or num/den so
+# that a fractional power is reported as such.
+_FACTOR_RE = re.compile(r"\s*(ad|a)\s*(?:(\^\s*)(\d+(?:/\d+)?)?)?\s*\*?\s*")
 
 
 def parse_boson_word(text: str) -> tuple:
     """Parse a product of "a" and "ad" factors with optional integer powers."""
-    cur = _Cursor(tokenize(text), text)
-    if cur.peek() is None:
-        raise ParseError("empty input", (0, max(len(text), 1)))
+    if not text.strip():
+        raise ParseError("empty input", (0, len(text)))
+    runs = []  # a syntax error is reported before any power is expanded
+    pos = 0
+    while pos < len(text):
+        factor = _FACTOR_RE.match(text, pos)
+        if factor is None:
+            pos = len(text) - len(text[pos:].lstrip())
+            raise ParseError(f"unexpected character {text[pos]!r}", (pos, pos + 1))
+        name, caret, power = factor.groups()
+        count = 1
+        if caret is not None:
+            if power is None or "/" in power:
+                at = factor.end(2)
+                span = factor.span(3) if power else (at, min(at + 1, len(text)))
+                raise ParseError("exponent must be a nonnegative integer", span)
+            try:
+                count = int(power)
+            except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+                raise ParseError("exponent has too many digits", factor.span(3)) from None
+        runs.append((CREATE if name == "ad" else ANNIHILATE, count, factor.span(1)))
+        pos = factor.end()
     letters = []
-    while cur.peek() is not None:
-        tok = cur.take()
-        if tok.kind == "ad":
-            letter = CREATE
-        elif tok.kind == "a":
-            letter = ANNIHILATE
-        else:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.span)
+    for letter, count, span in runs:
         try:
-            letters.extend([letter] * _take_exponent(cur))
+            letters.extend([letter] * count)
         except OverflowError:  # a power past sys.maxsize
-            raise ParseError("power too large", tok.span) from None
-        if cur.peek() is not None and cur.peek().kind == "star":
-            cur.take()
+            raise ParseError("power too large", span) from None
     return tuple(letters)
 
 

@@ -8,7 +8,7 @@ check shares no code with the rewriting or closed-form routes.
 """
 from fractions import Fraction
 
-from weylorder.poly import ANNIHILATE, CREATE, P, Q, NormalPoly
+from weylorder.poly import CREATE, Q, NormalPoly
 from weylorder.scalar import Scalar
 
 HALF = Fraction(1, 2)

@@ -7,8 +7,6 @@ import random
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
 from weylorder.altroutes import (blasiak_normal_order, blockify, cg_weyl_monomial,
                                  weyl_via_cg)
 from weylorder.cli import main
@@ -16,7 +14,7 @@ from weylorder.closedform import h_coeff, lambda_factor, weyl_normal_form, xi_fa
 from weylorder.enumeration import (eta_decomposition_check, weyl_bruteforce,
                                    weyl_forced)
 from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
-from weylorder.quantize import PolySystem, quantize_side, quantize_system
+from weylorder.quantize import quantize_side, quantize_system
 from weylorder.scalar import Scalar
 from weylorder.textio import load_system
 

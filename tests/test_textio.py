@@ -1,7 +1,9 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weylorder.closedform import weyl_normal_form
 from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
@@ -17,17 +19,18 @@ def test_parse_boson_word_errors():
         parse_boson_word("a^1/2")
     with pytest.raises(ParseError, match="nonnegative integer"):
         parse_boson_word("ad^")
-    with pytest.raises(ParseError, match="unexpected token 'p'"):
+    with pytest.raises(ParseError, match="unexpected character 'p'"):
         parse_boson_word("a ad p")
 
 
 def test_parse_error_has_span():
-    try:
-        parse_boson_word("a !")
-    except ParseError as err:
-        assert err.span == (2, 3)
-    else:
-        pytest.fail("expected ParseError")
+    # the span is that of the leftmost syntax error, found before any power is
+    # expanded; a missing power points at the next character, or at the end
+    for text, span in (("a !", (2, 3)), ("q !", (0, 1)), (" ad^^a", (4, 5)),
+                       ("ad^", (3, 3)), ("ad^99999999999999999999 !", (24, 25))):
+        with pytest.raises(ParseError) as err:
+            parse_boson_word(text)
+        assert err.value.span == span, text
 
 
 def test_parse_boson_word():
@@ -38,6 +41,41 @@ def test_parse_boson_word():
     assert parse_boson_word("ad^2 * a^0 ad") == (CREATE, CREATE, CREATE)
     with pytest.raises(ParseError):
         parse_boson_word("q")
+
+
+# a power of five or more digits would only make the expanded word large
+_LONG_POWER = re.compile(r"\d{5}")
+
+
+@given(st.lists(st.sampled_from(["a", "ad", "d", "^", "*", "/", " ", "\t", "0", "3", "12",
+                                 "q", "p", "+", "-", "!", "\u0663"]), max_size=12)
+       .map("".join).filter(lambda text: not _LONG_POWER.search(text)))
+def test_parse_boson_word_accepts_or_raises_parse_error(text):
+    try:
+        word = parse_boson_word(text)
+    except ParseError as err:
+        start, end = err.span
+        assert 0 <= start <= end <= len(text)
+    else:
+        assert isinstance(word, tuple) and set(word) <= {CREATE, ANNIHILATE}
+
+
+_BLANKS = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@given(st.lists(st.tuples(st.sampled_from(["a", "ad"]), st.none() | st.integers(0, 5),
+                          st.booleans(), st.lists(_BLANKS, min_size=5, max_size=5)),
+                min_size=1, max_size=6))
+def test_parse_boson_word_expands_runs(runs):
+    # power None: the factor is written without "^"
+    text, flat = "", ()
+    for name, power, star, blanks in runs:
+        text += blanks[0] + name + blanks[1]
+        if power is not None:
+            text += "^" + blanks[2] + str(power) + blanks[3]
+        text += ("*" if star else "") + blanks[4]
+        flat += ((CREATE if name == "ad" else ANNIHILATE),) * (1 if power is None else power)
+    assert parse_boson_word(text) == flat
 
 
 def test_render_plain():
