@@ -32,6 +32,8 @@ def weyl_via_cg(j: int, k: int) -> NormalPoly:
     expanded binomially and each commutative monomial a^m ad^n is converted
     with cg_weyl_monomial.  The converted monomials are summed into one dict.
     """
+    if j < 0 or k < 0:
+        raise ValueError("powers must be nonnegative")
     acc: dict = {}
     for alpha in range(j + 1):
         for beta in range(k + 1):

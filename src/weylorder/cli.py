@@ -13,7 +13,7 @@ from functools import cache
 
 from .altroutes import blasiak_normal_order, blockify, weyl_via_cg
 from .closedform import h_slots, lambda_factor, slots, weyl_normal_form, xi_factor, zeta_row
-from .enumeration import ETA_CAP, FORCED_CAP, CapExceededError, weyl_bruteforce, weyl_forced
+from .enumeration import ETA_CAP, CapExceededError, weyl_bruteforce, weyl_forced
 from .poly import NormalPoly, normal_order_word
 from .quantize import quantize_system
 from .scalar import Scalar
@@ -25,12 +25,21 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+# The largest j + k the CLI reads (weyl, coeffs, quantize monomials, check --max):
+# a bound on the size of the input, not on the run time.  The library has none.
+MAX_DEGREE = 400
 
-def _cap(text: str) -> int:
+
+def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"cap must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
+
+
+def _check_degree(what: str, degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise CapExceededError(what, degree, MAX_DEGREE)
 
 
 @cache
@@ -46,11 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default="plain")
 
     p = sub.add_parser("weyl", help="Weyl ordering of q^j p^k in normal order")
-    p.add_argument("j", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("j", type=_nonnegative)
+    p.add_argument("k", type=_nonnegative)
     p.add_argument("--method", choices=["closed", "brute", "forced", "cg"],
                    default="closed")
-    p.add_argument("--forced-cap", type=_cap, default=FORCED_CAP)
     add_format(p)
 
     p = sub.add_parser("normal-order", help="normal-order a boson word")
@@ -59,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("coeffs", help="coefficient tables for one (j, k)")
-    p.add_argument("j", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("j", type=_nonnegative)
+    p.add_argument("k", type=_nonnegative)
     p.add_argument("--which", choices=["h", "zeta", "lambda", "xi"], default="h")
     add_format(p)
 
@@ -69,24 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("check", help="cross-method verification sweep")
-    p.add_argument("--max", type=_cap, default=6, dest="max_degree")
-    p.add_argument("--forced-cap", type=_cap, default=FORCED_CAP)
-    p.add_argument("--eta-cap", type=_cap, default=ETA_CAP)
+    p.add_argument("--max", type=_nonnegative, default=6, dest="max_degree")
+    p.add_argument("--eta-cap", type=_nonnegative, default=ETA_CAP)
 
     return parser
 
 
 def cmd_weyl(args) -> int:
-    if args.j < 0 or args.k < 0:
-        print("error: j and k must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
-    route = {
-        "closed": lambda: weyl_normal_form(args.j, args.k),
-        "brute": lambda: weyl_bruteforce(args.j, args.k),
-        "forced": lambda: weyl_forced(args.j, args.k, cap=args.forced_cap),
-        "cg": lambda: weyl_via_cg(args.j, args.k),
-    }[args.method]
-    poly = route()
+    _check_degree("weyl", args.j + args.k)
+    poly = {"closed": weyl_normal_form, "brute": weyl_bruteforce, "forced": weyl_forced,
+            "cg": weyl_via_cg}[args.method](args.j, args.k)
     if args.format == "structured":
         print(json.dumps({"j": args.j, "k": args.k,
                           "hbar_exponent_times_2": args.j + args.k,
@@ -123,9 +123,7 @@ def _coeff_rows(j: int, k: int, which: str) -> list:
 
 
 def cmd_coeffs(args) -> int:
-    if args.j < 0 or args.k < 0:
-        print("error: j and k must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+    _check_degree("coeffs", args.j + args.k)
     rows = _coeff_rows(args.j, args.k, args.which)
     if args.format == "structured":
         print(json.dumps({"j": args.j, "k": args.k, "which": args.which, "rows": [
@@ -146,6 +144,8 @@ def cmd_coeffs(args) -> int:
 
 def cmd_quantize(args) -> int:
     system = load_system(args.path)
+    for j, k in [*system.qdot, *system.pdot]:
+        _check_degree(f"quantize monomial q^{j} p^{k}", j + k)
     dyn = quantize_system(system)
     if args.format == "structured":
         print(json.dumps({
@@ -165,8 +165,8 @@ def cmd_quantize(args) -> int:
 
 def cmd_check(args) -> int:
     from .verify import run_checks
-    report = run_checks(max_degree=args.max_degree, forced_cap=args.forced_cap,
-                        eta_cap=args.eta_cap)
+    _check_degree("check --max", args.max_degree)
+    report = run_checks(max_degree=args.max_degree, eta_cap=args.eta_cap)
     for result in report.results:
         status = "ok" if result.passed else "FAIL"
         print(f"{result.name}: {result.cases} cases {status}")

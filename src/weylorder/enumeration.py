@@ -19,7 +19,6 @@ from . import closedform
 from .poly import ANNIHILATE, CREATE, P, P_POLY, Q, Q_POLY, NormalPoly, _normal_order_int
 from .scalar import Scalar
 
-FORCED_CAP = 8
 ETA_CAP = 6
 
 
@@ -76,14 +75,13 @@ def weyl_bruteforce(j: int, k: int) -> NormalPoly:
     return _word_sum(j, k, Q_POLY, P_POLY) * Fraction(1, comb(j + k, j))
 
 
-def weyl_forced(j: int, k: int, cap: int = FORCED_CAP) -> NormalPoly:
+def weyl_forced(j: int, k: int) -> NormalPoly:
     """Forced-ordering average: signed factor products over all arrangements.
 
     Each distinct arrangement of j plus-signs and k minus-signs stands for
     j!k! identical permutations, cancelling against the (j+k)! denominator.
+    The word-sum recursion makes the cost polynomial, as brute's is: no cap.
     """
-    if j + k > cap:
-        raise CapExceededError("forced-ordering average", j + k, cap)
     plus = NormalPoly({(1, 0): 1, (0, 1): 1})
     minus = NormalPoly({(1, 0): 1, (0, 1): -1})
     return _word_sum(j, k, plus, minus) * Scalar.weyl_unit(j, k, Fraction(1, comb(j + k, j)))

@@ -7,8 +7,7 @@ from functools import cache
 from .altroutes import weyl_via_cg
 from .closedform import (slots, symmetry_report, weyl_normal_form, zeta_gamma, zeta_poly,
                          zeta_range, zeta_sum)
-from .enumeration import (ETA_CAP, FORCED_CAP, eta_decomposition_check, weyl_bruteforce,
-                          weyl_forced)
+from .enumeration import ETA_CAP, eta_decomposition_check, weyl_bruteforce, weyl_forced
 
 
 @dataclass
@@ -34,9 +33,8 @@ def _degree_pairs(max_degree: int):
             yield j, degree - j
 
 
-def run_checks(max_degree: int = 6, forced_cap: int = FORCED_CAP,
-               eta_cap: int = ETA_CAP) -> CheckReport:
-    """Run every route equality and symmetry check up to the degree caps.
+def run_checks(max_degree: int = 6, eta_cap: int = ETA_CAP) -> CheckReport:
+    """Run every check over all j + k <= max_degree; the factorial eta sum stops at eta_cap.
 
     The closed form checked is `weyl_normal_form`, the code `weyl --method
     closed` serves.  Each route's value at a pair is computed once and
@@ -59,14 +57,12 @@ def run_checks(max_degree: int = 6, forced_cap: int = FORCED_CAP,
     report.results.append(CheckResult("route-equality(closed,brute,cg)",
                                       len(pairs), not witness, witness))
 
-    forced_pairs = [p for p in pairs if p[0] + p[1] <= forced_cap]
     witness = ""
-    for j, k in forced_pairs:
-        if weyl_forced(j, k, cap=forced_cap) != brute_at(j, k):
+    for j, k in pairs:
+        if weyl_forced(j, k) != brute_at(j, k):
             witness = f"forced != brute at (j={j}, k={k})"
             break
-    report.results.append(CheckResult("forced-vs-brute", len(forced_pairs),
-                                      not witness, witness))
+    report.results.append(CheckResult("forced-vs-brute", len(pairs), not witness, witness))
 
     eta_pairs = [p for p in pairs if p[0] + p[1] <= eta_cap]
     cases = 0

@@ -1,13 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from weylorder.altroutes import weyl_via_cg
-from weylorder.cli import build_parser, main
+from weylorder.cli import MAX_DEGREE, build_parser, main
 from weylorder.textio import render
 
 
@@ -31,14 +35,16 @@ def test_weyl_identity(capsys):
 
 
 def test_weyl_methods_byte_identical(capsys):
-    outputs = set()
-    for method in ("closed", "brute", "forced", "cg"):
-        for fmt in ("plain", "latex", "structured"):
-            code, out, _ = run(capsys, "weyl", "2", "1", "--method", method,
-                               "--format", fmt)
-            assert code == 0
-            outputs.add((fmt, out))
-    assert len(outputs) == 3  # one distinct output per format, none per method
+    # (5, 4) lies past the cap that the forced route had until it became polynomial
+    for j, k in (("2", "1"), ("5", "4")):
+        outputs = set()
+        for method in ("closed", "brute", "forced", "cg"):
+            for fmt in ("plain", "latex", "structured"):
+                code, out, _ = run(capsys, "weyl", j, k, "--method", method,
+                                   "--format", fmt)
+                assert code == 0
+                outputs.add((fmt, out))
+        assert len(outputs) == 3  # one distinct output per format, none per method
 
 
 def test_weyl_closed_output_matches_cg_render(capsys):
@@ -71,9 +77,28 @@ def test_weyl_determinism(capsys):
 
 
 def test_weyl_cap_exceeded(capsys):
-    code, _, err = run(capsys, "weyl", "5", "4", "--method", "forced")
-    assert code == 3
-    assert "cap" in err
+    # one degree bound on j + k for every route; zeta_row alone costs j^2 at closed
+    for method in ("closed", "brute", "forced", "cg"):
+        code, out, err = run(capsys, "weyl", "1000000000", "0", "--method", method)
+        assert (code, out) == (3, "")
+        assert f"degree 1000000000 exceeds cap {MAX_DEGREE}" in err
+    assert run(capsys, "weyl", str(MAX_DEGREE - 1), "2")[0] == 3
+
+
+def test_degree_bound_on_every_input(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"qdot": [{"j": 0, "k": 1, "coeff": "1"},
+                                         {"j": 10 ** 9, "k": 0, "coeff": "1"}],
+                                "pdot": []}))
+    for argv in (["coeffs", "1000000000", "0"], ["coeffs", "0", str(MAX_DEGREE + 1)],
+                 ["quantize", str(path)], ["check", "--max", str(MAX_DEGREE + 1)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, ""), argv
+        assert f"exceeds cap {MAX_DEGREE}" in err
+    # the bound itself is accepted
+    assert run(capsys, "coeffs", "0", str(MAX_DEGREE), "--which", "zeta")[0] == 0
 
 
 def test_weyl_brute_degree_16_matches_closed(capsys):
@@ -84,14 +109,24 @@ def test_weyl_brute_degree_16_matches_closed(capsys):
 
 
 def test_negative_caps_rejected(capsys):
+    code, out, err = run(capsys, "check", "--max", "2", "--eta-cap", "-1")
+    assert (code, out) == (2, "")
+    assert "--eta-cap: must be nonnegative" in err
+    # --forced-cap is gone: the forced route has no cap of its own
     for argv in (["weyl", "2", "2", "--forced-cap", "-1"],
-                 ["weyl", "2", "2", "--method", "forced", "--forced-cap", "-1"],
-                 ["check", "--max", "2", "--forced-cap", "-1"],
-                 ["check", "--max", "2", "--eta-cap", "-1"]):
+                 ["weyl", "2", "2", "--method", "forced", "--forced-cap", "3"],
+                 ["check", "--max", "2", "--forced-cap", "0"]):
         code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "cap must be nonnegative" in err
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --forced-cap" in err
+
+
+def test_negative_powers_rejected(capsys):
+    for argv in (["weyl", "-1", "2"], ["weyl", "2", "-1"], ["coeffs", "-1", "0"],
+                 ["coeffs", "0", "-3"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "must be nonnegative" in err
 
 
 def test_negative_max_degree_rejected(capsys):
@@ -105,9 +140,11 @@ def test_negative_max_degree_rejected(capsys):
 
 
 def test_zero_caps_accepted(capsys):
-    code, out, _ = run(capsys, "check", "--max", "2", "--forced-cap", "0", "--eta-cap", "0")
+    code, out, _ = run(capsys, "check", "--max", "2", "--eta-cap", "0")
     assert code == 0
-    assert "forced-vs-brute: 1 cases ok" in out
+    # forced-vs-brute covers every pair of j + k <= 2; the eta check only (0, 0)
+    assert "forced-vs-brute: 6 cases ok" in out
+    assert "eta-decomposition: 1 cases ok" in out
 
 
 def test_normal_order(capsys):
@@ -295,3 +332,52 @@ def test_cached_parser_matches_fresh_process(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["weyl"]) == 2
     assert main(["nonsense"]) == 2
+
+
+SYSTEMS = {"small.json": 2, "huge.json": 10 ** 9}
+COMMANDS = ["weyl", "normal-order", "coeffs", "quantize", "check"]
+INTS = ["-1", "0", "3", "1000000000", "9" * 5000]
+OPTIONS = {"--method": ["closed", "brute", "forced", "cg"], "--route": ["rewrite", "blasiak"],
+           "--format": ["plain", "latex", "structured"], "--which": ["h", "zeta", "lambda", "xi"],
+           "--max": [], "--eta-cap": [], "--bogus": []}
+POSITIONALS = {"normal-order": ["a", "ad^2 a", "a^3 ad^2", "p", ""],
+               "quantize": [*SYSTEMS, "missing.json"]}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, a few positionals and options, now and then shuffled."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command] + draw(st.lists(st.sampled_from(POSITIONALS.get(command, INTS)),
+                                     max_size=3))
+    for option in draw(st.lists(st.sampled_from(list(OPTIONS)), max_size=3)):
+        argv += [option, draw(st.sampled_from(OPTIONS[option] + INTS))]
+    if draw(st.booleans()):
+        argv = draw(st.permutations(argv))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def systems_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("systems")
+    for name, j in SYSTEMS.items():
+        (directory / name).write_text(json.dumps({"qdot": [{"j": j, "k": 1, "coeff": "1/2"}],
+                                                  "pdot": []}))
+    return directory
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+@example(argv=["weyl", "1000000000", "0"])
+@example(argv=["coeffs", "0", "1000000000"])
+@example(argv=["quantize", "huge.json"])
+@example(argv=["check", "--max", "1000000000"])
+def test_every_argv_honours_the_exit_codes(systems_dir, argv):
+    argv = [str(systems_dir / word) if word in POSITIONALS["quantize"] else word
+            for word in argv]
+    if "check" in argv:
+        # the default --max 6 is opt-in work; a drawn --max later in argv still wins
+        at = argv.index("check") + 1
+        argv[at:at] = ["--max", "3"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2, 3)

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from weylorder.altroutes import weyl_via_cg
 from weylorder.closedform import weyl_normal_form
 from weylorder.enumeration import (CapExceededError, distinct_orderings,
                                    eta_decomposition_check, weyl_bruteforce,
@@ -79,11 +80,11 @@ def test_forced_equals_per_arrangement_average():
 
 
 def test_negative_powers_rejected():
-    for j, k in ((-1, 2), (2, -1)):
-        with pytest.raises(ValueError):
-            weyl_bruteforce(j, k)
-        with pytest.raises(ValueError):
-            weyl_forced(j, k)
+    # cg used to return an empty NormalPoly here, as if the answer were 0
+    for j, k in ((-1, 2), (2, -1), (-3, 0)):
+        for route in (weyl_bruteforce, weyl_forced, weyl_via_cg, weyl_normal_form):
+            with pytest.raises(ValueError, match="nonnegative"):
+                route(j, k)
 
 
 def test_forced_examples():
@@ -94,16 +95,10 @@ def test_forced_examples():
 
 
 def test_forced_matches_bruteforce():
-    for degree in range(9):
+    # past degree 8, where a cap used to refuse the forced route
+    for degree in range(11):
         for j in range(degree + 1):
             assert weyl_forced(j, degree - j) == weyl_bruteforce(j, degree - j)
-
-
-def test_forced_cap():
-    with pytest.raises(CapExceededError) as err:
-        weyl_forced(5, 4)
-    assert "8" in str(err.value)
-    assert weyl_forced(5, 4, cap=9) == weyl_bruteforce(5, 4)
 
 
 def test_eta_worked_example():
