@@ -103,8 +103,6 @@ def requests(workdir: str) -> tuple:
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         argvs, files = requests(workdir)
-        for name in os.listdir(workdir):
-            os.remove(os.path.join(workdir, name))
         write_files(files, Path(workdir))
         os.chdir(workdir)
         entries = [replay(argv) for argv in argvs]
