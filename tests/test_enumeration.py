@@ -101,6 +101,13 @@ def test_forced_matches_bruteforce():
             assert weyl_forced(j, degree - j) == weyl_bruteforce(j, degree - j)
 
 
+def test_forced_cap():
+    # the forced route has no cap: degree 9 used to raise CapExceededError
+    assert weyl_forced(5, 4) == weyl_bruteforce(5, 4)
+    with pytest.raises(TypeError):
+        weyl_forced(5, 4, cap=9)
+
+
 def test_eta_worked_example():
     # j+k = 3 at (u, v) = (1, 1): lambda = 2, xi = 2+1+0 = 3
     check = eta_decomposition_check(2, 1, 1, 1)
