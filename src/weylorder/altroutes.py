@@ -2,7 +2,8 @@
 
 Route one converts the Weyl bracket of ladder-operator monomials directly to
 normal order.  Route two is the general boson-string normal-ordering formula
-built on prefix excesses and falling factorials.
+built on prefix excesses and falling factorials; one forward-difference row
+per string gives all of its coefficients.
 """
 from __future__ import annotations
 
@@ -94,30 +95,55 @@ def falling(x: int, n: int) -> int:
     return out
 
 
-def blasiak_coeff(x: BosonString, k: int) -> Fraction:
-    """Expansion coefficient of ad^(d_M+k) a^k in the string's normal form."""
+def _blasiak_row(x: BosonString, hi: int) -> list:
+    """blasiak_coeff(x, k) for k = 0..hi, from one forward-difference table of P."""
     d = x.prefix_excess()
-    total = 0
-    for j in range(k + 1):
+    row = []
+    for j in range(hi + 1):
         prod = 1
-        for m, sm in enumerate(x.s, start=1):
-            prod *= falling(d[m - 1] + j, sm)
-        total += comb(k, j) * (-1) ** (k - j) * prod
-    return Fraction(total, factorial(k))
+        for dm, sm in zip(d, x.s):
+            prod *= falling(dm + j, sm)
+        row.append(prod)
+    # after pass k, row[i] holds (Δ^k P)(i - k) for i >= k
+    for k in range(1, hi + 1):
+        for i in range(hi, k - 1, -1):
+            row[i] -= row[i - 1]
+    fact = 1
+    for k in range(hi + 1):
+        row[k] = Fraction(row[k], fact)
+        fact *= k + 1
+    return row
+
+
+def blasiak_coeff(x: BosonString, k: int) -> Fraction:
+    """Expansion coefficient of ad^(d_M+k) a^k in the string's normal form.
+
+    (1/k!) Σ_j C(k,j) (-1)^(k-j) P(j) with P(j) = Π_m falling(d_{m-1} + j, s_m):
+    the k-th forward difference of P at 0 over k!.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return _blasiak_row(x, k)[k]
 
 
 def blasiak_normal_order(x: BosonString) -> NormalPoly:
-    """Normal-ordered equivalent of a boson string via the excess-split formula."""
+    """Normal-ordered equivalent of a boson string via the excess-split formula.
+
+    Every coefficient comes from one forward-difference row per string (of
+    the adjoint string when d_M < 0).
+    """
     d_m = x.prefix_excess()[-1]
     terms = {}
     if d_m >= 0:
         lo, hi = x.s[0], sum(x.s)
+        row = _blasiak_row(x, hi)
         for k in range(lo, hi + 1):
-            terms[(d_m + k, k)] = Scalar.from_rational(blasiak_coeff(x, k))
+            terms[(d_m + k, k)] = Scalar.from_rational(row[k])
     else:
         # adjoint string: roles swapped and sequences reversed
         adjoint = BosonString(x.s[::-1], x.r[::-1])
         lo, hi = x.r[-1], sum(x.r)
+        row = _blasiak_row(adjoint, hi)
         for k in range(lo, hi + 1):
-            terms[(k, -d_m + k)] = Scalar.from_rational(blasiak_coeff(adjoint, k))
+            terms[(k, -d_m + k)] = Scalar.from_rational(row[k])
     return NormalPoly(terms)

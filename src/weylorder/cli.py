@@ -31,7 +31,12 @@ MAX_DEGREE = 400
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse would name this function in its own message
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value

@@ -7,6 +7,7 @@ applied to monomials x^t and compared coefficient by coefficient, so the
 check shares no code with the rewriting or closed-form routes.
 """
 from fractions import Fraction
+from math import comb, factorial
 
 from weylorder.poly import CREATE, Q, NormalPoly
 from weylorder.scalar import Scalar
@@ -78,3 +79,20 @@ def same_poly(a, b):
     a = a + [Scalar()] * (length - len(a))
     b = b + [Scalar()] * (length - len(b))
     return a == b
+
+
+def blasiak_coeff_sum(x, k):
+    """(1/k!) sum_j C(k,j) (-1)^(k-j) P(j) with P(j) = prod_m falling(d_{m-1} + j, s_m).
+
+    The Blasiak coefficient of a BosonString x summed term by term for one k,
+    the reference for the forward-difference row of the Blasiak route.
+    """
+    d = x.prefix_excess()
+    total = 0
+    for j in range(k + 1):
+        prod = 1
+        for dm, sm in zip(d, x.s):
+            for i in range(sm):
+                prod *= dm + j - i
+        total += comb(k, j) * (-1) ** (k - j) * prod
+    return Fraction(total, factorial(k))

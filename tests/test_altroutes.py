@@ -11,6 +11,8 @@ from weylorder.enumeration import weyl_bruteforce
 from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
 
+from oracle import blasiak_coeff_sum
+
 
 def test_falling_factorial():
     assert falling(5, 0) == 1
@@ -65,6 +67,26 @@ def test_blasiak_coeff_examples():
     assert blasiak_coeff(BosonString((2, 3), (0, 0)), 0) == 1
     for k in range(1, 4):
         assert blasiak_coeff(BosonString((2, 3), (0, 0)), k) == 0
+    # a negative k is an error, not an entry read from the end of the row
+    for k in (-1, -2):
+        with pytest.raises(ValueError):
+            blasiak_coeff(BosonString((1,), (1,)), k)
+
+
+def test_blasiak_coeff_matches_binomial_sum():
+    # (0, 0), (1, 2): d_1 = -1, so P(0) holds falling(-1, 2) = 2
+    strings = [BosonString((0, 0), (1, 2)), BosonString((0, 2, 0), (3, 0, 2)),
+               BosonString((0,), (0,)), BosonString((3,), (0,))]
+    rng = random.Random(17)
+    for _ in range(300):
+        blocks = rng.randint(1, 5)
+        strings.append(BosonString(tuple(rng.randint(0, 4) for _ in range(blocks)),
+                                   tuple(rng.randint(0, 4) for _ in range(blocks))))
+    assert sum(0 in x.r + x.s for x in strings) > 100
+    assert sum(min(x.prefix_excess()[:-1]) < 0 for x in strings) > 100
+    for x in strings:
+        for k in range(sum(x.s) + 3):
+            assert blasiak_coeff(x, k) == blasiak_coeff_sum(x, k), (x, k)
 
 
 def test_blasiak_examples():

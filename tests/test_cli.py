@@ -127,6 +127,13 @@ def test_negative_powers_rejected(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "must be nonnegative" in err
+    # argparse names the type function in its message unless the function raises
+    for argv in (["weyl", "x", "1"], ["weyl", "1", "1.5"], ["coeffs", "x", "0"],
+                 ["check", "--max", "1.5"], ["weyl", "9" * 5000, "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "expected a nonnegative integer, got" in err
+        assert "_nonnegative" not in err
 
 
 def test_negative_max_degree_rejected(capsys):
@@ -157,9 +164,16 @@ def test_normal_order(capsys):
     assert out == "ad a\n"
 
 
-@pytest.mark.parametrize("expr", ["a ad^2000", "a^32 ad^32"])
+@pytest.mark.parametrize("expr", [
+    "a ad^2000", "a^32 ad^32",
+    # 64 letters in alternating runs, d_M = 4
+    "ad^4 a^4 ad^4 a^5 ad^3 a^6 ad^6 a ad^6 a^3 ad a^4 ad^2 a^3 ad^3 a ad^4 a^3 ad",
+    # 64 letters in nine blocks, d_M = -16: the adjoint branch of the Blasiak route
+    "a^4 ad a^4 ad^6 a^5 ad^2 a^3 ad a^6 ad a^6 ad^6 a^5 ad^3 a^5 ad^4 a^2",
+])
 def test_normal_order_deep_words(capsys, expr):
-    # deep enough for RecursionError in an oracle that recurses once per inversion
+    # deep enough for RecursionError in an oracle that recurses once per inversion;
+    # the long words also reach the high-k end of the Blasiak row
     code, out, _ = run(capsys, "normal-order", expr)
     assert code == 0
     assert (code, out) == run(capsys, "normal-order", expr, "--route", "blasiak")[:2]
