@@ -28,6 +28,14 @@ EXIT_CAP = 3
 # The largest j + k the CLI reads (weyl, coeffs, quantize monomials, check --max):
 # a bound on the size of the input, not on the run time.  The library has none.
 MAX_DEGREE = 400
+# The most letters a normal-order word may expand to, checked before it is expanded.
+MAX_WORD_LETTERS = 10_000
+# A rejected argument is echoed to at most this many characters.
+ECHO_CHARS = 20
+
+
+def _echo(text: str) -> str:
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
 
 
 def _nonnegative(text: str) -> int:
@@ -36,9 +44,9 @@ def _nonnegative(text: str) -> int:
     except ValueError:
         # argparse would name this function in its own message
         raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {text!r}") from None
+            f"expected a nonnegative integer, got {_echo(text)!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {_echo(str(value))}")
     return value
 
 
@@ -104,7 +112,7 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_normal_order(args) -> int:
-    word = parse_boson_word(args.expr)
+    word = parse_boson_word(args.expr, max_letters=MAX_WORD_LETTERS)
     rewrite = normal_order_word(word)
     blasiak = blasiak_normal_order(blockify(word))
     if rewrite != blasiak:

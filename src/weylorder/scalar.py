@@ -1,21 +1,26 @@
 """Exact arithmetic in the ring Q(i, sqrt2).
 
-Every coefficient in the package lives here.  A value is stored as four
-arbitrary-precision rationals (x_re + x_im*i) + (y_re + y_im*i)*sqrt2, which
-is closed under addition, multiplication and complex conjugation.  Floats are
-rejected everywhere: there is no approximate mode.
+Every coefficient in the package lives here.  A value
+(x_re + x_im*i) + (y_re + y_im*i)*sqrt2 is stored as four int numerators
+n0..n3 over one positive int denominator d, so x_re = n0/d, ..., y_im = n3/d.
+The stored form is always reduced, gcd(n0, n1, n2, n3, d) == 1, and zero is
+(0, 0, 0, 0, 1); equal values therefore have equal stored forms.  Each ring
+operation works on the ints and ends with one multi-argument gcd, instead of
+one Fraction (and one gcd) per component.  Floats are rejected everywhere:
+there is no approximate mode.
 
 There are two constructors.  The public `Scalar(...)` validates: each
 component goes through `_frac`, so an int, str or other exact rational is
 converted and a float or bool raises `TypeError`.  The private `Scalar._of`
 trusts its input: the four components must already be `Fraction`s, and it
-stores them without a check.  Only the ring operations, `from_rational` and
-`weyl_unit` use it, on components they made `Fraction`s themselves.  Either way a
-`Scalar` is immutable and hashes by its four components.
+puts them over their least common denominator without a check.  The
+components read back through the properties `x_re`, `x_im`, `y_re` and
+`y_im` as `Fraction`s.  A `Scalar` is immutable and hashes by its reduced form.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 
 _ZERO = Fraction(0)
@@ -32,16 +37,20 @@ def _frac(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
+def _component(index: int, doc: str) -> property:
+    def get(self) -> Fraction:
+        v = self._v
+        return Fraction(v[index], v[4]) if v[index] else _ZERO
+    return property(get, doc=doc)
+
+
 class Scalar:
     """(x_re + x_im*i) + (y_re + y_im*i)*sqrt2 with exact rational components."""
 
-    __slots__ = ("x_re", "x_im", "y_re", "y_im")
+    __slots__ = ("_v",)  # (n0, n1, n2, n3, d), reduced, d > 0
 
     def __init__(self, x_re=_ZERO, x_im=_ZERO, y_re=_ZERO, y_im=_ZERO):
-        _set_x_re(self, _frac(x_re))
-        _set_x_im(self, _frac(x_im))
-        _set_y_re(self, _frac(y_re))
-        _set_y_im(self, _frac(y_im))
+        _set_v(self, _over_lcm(_frac(x_re), _frac(x_im), _frac(y_re), _frac(y_im)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Scalar is immutable; cannot set {name!r}")
@@ -52,21 +61,24 @@ class Scalar:
     def __reduce__(self):
         return Scalar, (self.x_re, self.x_im, self.y_re, self.y_im)
 
+    x_re = _component(0, "rational part, n0/d")
+    x_im = _component(1, "coefficient of i, n1/d")
+    y_re = _component(2, "coefficient of sqrt2, n2/d")
+    y_im = _component(3, "coefficient of i*sqrt2, n3/d")
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def _of(cls, x_re: Fraction, x_im: Fraction, y_re: Fraction, y_im: Fraction) -> "Scalar":
         """Trusted constructor: the components are already Fractions and are not checked."""
         self = _new(cls)
-        _set_x_re(self, x_re)
-        _set_x_im(self, x_im)
-        _set_y_re(self, y_re)
-        _set_y_im(self, y_im)
+        _set_v(self, _over_lcm(x_re, x_im, y_re, y_im))
         return self
 
     @classmethod
     def from_rational(cls, value) -> "Scalar":
-        return cls._of(_frac(value), _ZERO, _ZERO, _ZERO)
+        value = _frac(value)
+        return _make(value.numerator, 0, 0, 0, value.denominator)
 
     @classmethod
     def i(cls) -> "Scalar":
@@ -83,29 +95,28 @@ class Scalar:
         2^{-n/2} is 1/2^(n/2) for even n and sqrt2/2^((n+1)/2) for odd n, and i^k
         is one of 1, i, -1, -i, so the product has a single component +-r/2^m.
         """
+        r = _frac(r)
         n = j + k
-        value = _frac(r) / 2 ** ((n + 1) // 2)
-        if k % 4 >= 2:
-            value = -value
-        comps = [_ZERO, _ZERO, _ZERO, _ZERO]
-        comps[2 * (n % 2) + k % 2] = value
-        return cls._of(*comps)
+        num = -r.numerator if k % 4 >= 2 else r.numerator
+        nums = [0, 0, 0, 0]
+        nums[2 * (n % 2) + k % 2] = num
+        return _make(*nums, r.denominator << ((n + 1) // 2))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        other = _coerce(other)
-        return Scalar._of(
-            _fadd(self.x_re, other.x_re),
-            _fadd(self.x_im, other.x_im),
-            _fadd(self.y_re, other.y_re),
-            _fadd(self.y_im, other.y_im),
-        )
+        a0, a1, a2, a3, da = self._v
+        b0, b1, b2, b3, db = _coerce(other)._v
+        if da == db:
+            return _make(a0 + b0, a1 + b1, a2 + b2, a3 + b3, da)
+        return _make(a0 * db + b0 * da, a1 * db + b1 * da,
+                     a2 * db + b2 * da, a3 * db + b3 * da, da * db)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar._of(-self.x_re, -self.x_im, -self.y_re, -self.y_im)
+        a0, a1, a2, a3, d = self._v
+        return _make(-a0, -a1, -a2, -a3, d)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-_coerce(other))
@@ -114,75 +125,80 @@ class Scalar:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "Scalar":
-        # A rational factor scales the four components; no full product.
-        r = _rational_part(other)
-        if r is not None:
-            return self._times_rational(r)
-        if self.is_rational():
-            return other._times_rational(self.x_re)
-        # Gaussian components: x = x1*x2 + 2*y1*y2, y = x1*y2 + y1*x2
-        x_re, x_im = _gmul(self.x_re, self.x_im, other.x_re, other.x_im)
-        t_re, t_im = _gmul(self.y_re, self.y_im, other.y_re, other.y_im)
-        x_re, x_im = x_re + 2 * t_re, x_im + 2 * t_im
-        y_re, y_im = _gmul(self.x_re, self.x_im, other.y_re, other.y_im)
-        u_re, u_im = _gmul(self.y_re, self.y_im, other.x_re, other.x_im)
-        return Scalar._of(x_re, x_im, y_re + u_re, y_im + u_im)
+        if other.__class__ is not Scalar:
+            return self._times_rational(_frac(other))
+        a0, a1, a2, a3, da = self._v
+        b0, b1, b2, b3, db = other._v
+        # (x_a + y_a sqrt2)(x_b + y_b sqrt2) with Gaussian x, y:
+        # x = x_a x_b + 2 y_a y_b, y = x_a y_b + y_a x_b
+        return _make(a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
+                     a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
+                     a0 * b2 - a1 * b3 + a2 * b0 - a3 * b1,
+                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+                     da * db)
 
     __rmul__ = __mul__
 
     def _times_rational(self, r: Fraction) -> "Scalar":
-        # a zero component stays zero; only the nonzero ones pay a Fraction product
-        x_re, x_im, y_re, y_im = self.x_re, self.x_im, self.y_re, self.y_im
-        return Scalar._of(x_re * r if x_re else x_re, x_im * r if x_im else x_im,
-                          y_re * r if y_re else y_re, y_im * r if y_im else y_im)
+        """self * r for an exact rational r (a Fraction, or an int)."""
+        a0, a1, a2, a3, d = self._v
+        p = r.numerator
+        return _make(a0 * p, a1 * p, a2 * p, a3 * p, d * r.denominator)
 
     def conj(self) -> "Scalar":
         """Complex conjugation; fixes sqrt2."""
-        return Scalar._of(self.x_re, -self.x_im, self.y_re, -self.y_im)
+        a0, a1, a2, a3, d = self._v
+        return _make(a0, -a1, a2, -a3, d)
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.x_re == other.x_re and self.x_im == other.x_im
-                and self.y_re == other.y_re and self.y_im == other.y_im)
+        return self._v == other._v
 
     def __hash__(self) -> int:
-        return hash((self.x_re, self.x_im, self.y_re, self.y_im))
+        return hash(self._v)
 
     def __bool__(self) -> bool:
-        return bool(self.x_re or self.x_im or self.y_re or self.y_im)
+        a0, a1, a2, a3, _ = self._v
+        return bool(a0 or a1 or a2 or a3)
 
     def is_rational(self) -> bool:
-        return not (self.x_im or self.y_re or self.y_im)
+        _, a1, a2, a3, _ = self._v
+        return not (a1 or a2 or a3)
 
     def __repr__(self) -> str:
         return (f"Scalar({self.x_re!s}, {self.x_im!s}i, "
                 f"{self.y_re!s}r2, {self.y_im!s}ir2)")
 
 
-# Slot setters that bypass Scalar.__setattr__; only the two constructors call them.
-_set_x_re = Scalar.x_re.__set__
-_set_x_im = Scalar.x_im.__set__
-_set_y_re = Scalar.y_re.__set__
-_set_y_im = Scalar.y_im.__set__
+# The slot setter that bypasses Scalar.__setattr__; only the constructors and _make call it.
+_set_v = Scalar._v.__set__
 
 
-def _fadd(a: Fraction, b: Fraction) -> Fraction:
-    """a + b, with no Fraction addition when either side is zero."""
-    return a + b if a and b else a or b
+def _over_lcm(x_re: Fraction, x_im: Fraction, y_re: Fraction, y_im: Fraction) -> tuple:
+    """The reduced form of four Fractions: their numerators over the least common denominator.
+
+    It needs no gcd: each prime of d divides some component's denominator to
+    its full power in d, so it does not divide that component's numerator.
+    """
+    d = lcm(x_re.denominator, x_im.denominator, y_re.denominator, y_im.denominator)
+    return (x_re.numerator * (d // x_re.denominator), x_im.numerator * (d // x_im.denominator),
+            y_re.numerator * (d // y_re.denominator), y_im.numerator * (d // y_im.denominator), d)
+
+
+def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> Scalar:
+    """A Scalar from any form with d > 0, reduced by one gcd."""
+    g = gcd(n0, n1, n2, n3, d)
+    self = _new(Scalar)
+    _set_v(self, (n0, n1, n2, n3, d) if g == 1 else (n0 // g, n1 // g, n2 // g, n3 // g, d // g))
+    return self
 
 
 def _gmul(a_re, a_im, b_re, b_im):
+    """Gaussian product (a_re + a_im i)(b_re + b_im i) as its two parts."""
     return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
-
-
-def _rational_part(value):
-    """value as a Fraction if it is rational, None for a Scalar that is not."""
-    if isinstance(value, Scalar):
-        return value.x_re if value.is_rational() else None
-    return _frac(value)
 
 
 def _coerce(value) -> Scalar:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
+from .enumeration import CapExceededError
 from .poly import ANNIHILATE, CREATE, NormalPoly
 from .quantize import PolySystem
 from .scalar import Scalar
@@ -30,8 +32,12 @@ class ParseError(ValueError):
 _FACTOR_RE = re.compile(r"\s*(ad|a)\s*(?:(\^\s*)(\d+(?:/\d+)?)?)?\s*\*?\s*")
 
 
-def parse_boson_word(text: str) -> tuple:
-    """Parse a product of "a" and "ad" factors with optional integer powers."""
+def parse_boson_word(text: str, max_letters: int | None = None) -> tuple:
+    """Parse a product of "a" and "ad" factors with optional integer powers.
+
+    With max_letters set, a word of more letters raises CapExceededError
+    before any run is expanded.
+    """
     if not text.strip():
         raise ParseError("empty input", (0, len(text)))
     runs = []  # a syntax error is reported before any power is expanded
@@ -54,12 +60,15 @@ def parse_boson_word(text: str) -> tuple:
                 raise ParseError("exponent has too many digits", factor.span(3)) from None
         runs.append((CREATE if name == "ad" else ANNIHILATE, count, factor.span(1)))
         pos = factor.end()
+    for _, count, span in runs:
+        if count > sys.maxsize:  # [letter] * count would raise OverflowError
+            raise ParseError("power too large", span)
+    total = sum(count for _, count, _ in runs)
+    if max_letters is not None and total > max_letters:
+        raise CapExceededError("boson word", total, max_letters)
     letters = []
-    for letter, count, span in runs:
-        try:
-            letters.extend([letter] * count)
-        except OverflowError:  # a power past sys.maxsize
-            raise ParseError("power too large", span) from None
+    for letter, count, _ in runs:
+        letters.extend([letter] * count)
     return tuple(letters)
 
 

@@ -5,11 +5,14 @@ the creation operator is multiplication by x and the annihilation operator
 is d/dx, which satisfy the same commutator.  Words and normal forms are
 applied to monomials x^t and compared coefficient by coefficient, so the
 check shares no code with the rewriting or closed-form routes.
+
+It also builds Weyl-ordered monomials by the anticommutator recursion, which
+shares the NormalPoly product with brute but no code with the closed form.
 """
 from fractions import Fraction
 from math import comb, factorial
 
-from weylorder.poly import CREATE, Q, NormalPoly
+from weylorder.poly import CREATE, P_POLY, Q, Q_POLY, NormalPoly
 from weylorder.scalar import Scalar
 
 HALF = Fraction(1, 2)
@@ -96,3 +99,29 @@ def blasiak_coeff_sum(x, k):
                 prod *= dm + j - i
         total += comb(k, j) * (-1) ** (k - j) * prod
     return Fraction(total, factorial(k))
+
+
+def weyl_q_step(w: NormalPoly) -> NormalPoly:
+    """W(j+1, k) = (q W(j, k) + W(j, k) q) / 2, q in its ladder form."""
+    return (Q_POLY * w + w * Q_POLY) * HALF
+
+
+def weyl_p_step(w: NormalPoly) -> NormalPoly:
+    """W(j, k+1) = (p W(j, k) + W(j, k) p) / 2, p in its ladder form."""
+    return (P_POLY * w + w * P_POLY) * HALF
+
+
+def weyl_by_anticommutators(n):
+    """{(j, k): W(j, k)} for j, k <= n, from W(0, 0) = 1 by the one-step recursions.
+
+    The Weyl ordering of q^j p^k is the symmetrized product (McCoy's
+    2^-m sum_l C(m, l) q^l p^k q^(m-l) in one-step form): W(j, 0) comes from
+    the q-step and every W(j, k) with k > 0 from the p-step.
+    """
+    grid = {(0, 0): NormalPoly.one()}
+    for j in range(n + 1):
+        if j:
+            grid[j, 0] = weyl_q_step(grid[j - 1, 0])
+        for k in range(1, n + 1):
+            grid[j, k] = weyl_p_step(grid[j, k - 1])
+    return grid

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weylorder.altroutes import weyl_via_cg
-from weylorder.cli import MAX_DEGREE, build_parser, main
+from weylorder.cli import MAX_DEGREE, MAX_WORD_LETTERS, build_parser, main
 from weylorder.textio import render
 
 
@@ -193,6 +193,28 @@ def test_normal_order_parse_error(capsys):
     assert "too many digits (at 3..5003)" in err
 
 
+def test_normal_order_letter_cap(capsys):
+    # the cap is checked before a run is expanded: a^100000000 would take about 0.8 GB
+    for expr in ("a^100000000", f"ad a^{MAX_WORD_LETTERS}", "a^5000 ad^5000 a"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "normal-order", expr, "--route", "blasiak")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, ""), expr
+        assert f"exceeds cap {MAX_WORD_LETTERS}" in err
+    code, out, _ = run(capsys, "normal-order", f"ad^{MAX_WORD_LETTERS}")
+    assert (code, out) == (0, f"ad^{MAX_WORD_LETTERS}\n")
+
+
+def test_long_argument_echo_is_truncated(capsys):
+    # a rejected argument is echoed by its first characters only
+    for argv in (["weyl", "9" * 5000, "1"], ["weyl", "x" * 300, "1"],
+                 ["coeffs", "1", "-" + "9" * 3000]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "..." in err
+        assert max(len(line) for line in err.splitlines()) < 200
+
+
 def test_coeffs_h(capsys):
     code, out, _ = run(capsys, "coeffs", "1", "1", "--which", "h",
                        "--format", "structured")
@@ -354,7 +376,7 @@ INTS = ["-1", "0", "3", "1000000000", "9" * 5000]
 OPTIONS = {"--method": ["closed", "brute", "forced", "cg"], "--route": ["rewrite", "blasiak"],
            "--format": ["plain", "latex", "structured"], "--which": ["h", "zeta", "lambda", "xi"],
            "--max": [], "--eta-cap": [], "--bogus": []}
-POSITIONALS = {"normal-order": ["a", "ad^2 a", "a^3 ad^2", "p", ""],
+POSITIONALS = {"normal-order": ["a", "ad^2 a", "a^3 ad^2", "p", "", "a^100000000"],
                "quantize": [*SYSTEMS, "missing.json"]}
 
 
@@ -386,6 +408,7 @@ def systems_dir(tmp_path_factory):
 @example(argv=["coeffs", "0", "1000000000"])
 @example(argv=["quantize", "huge.json"])
 @example(argv=["check", "--max", "1000000000"])
+@example(argv=["normal-order", "a^100000000"])
 def test_every_argv_honours_the_exit_codes(systems_dir, argv):
     argv = [str(systems_dir / word) if word in POSITIONALS["quantize"] else word
             for word in argv]

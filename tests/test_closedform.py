@@ -13,6 +13,8 @@ from weylorder.poly import NormalPoly
 from weylorder.scalar import Scalar
 from weylorder.verify import run_checks
 
+from oracle import weyl_by_anticommutators, weyl_q_step
+
 
 def test_lambda_factor():
     assert lambda_factor(2, 1, 1, 1) == 2
@@ -91,6 +93,17 @@ def test_one_pass_slots_match_h_coeff():
 def test_closed_form_matches_cg_at_high_degree():
     for j, k in [(12, 13), (20, 20), (0, 17)]:
         assert weyl_normal_form(j, k) == weyl_via_cg(j, k)
+
+
+def test_closed_form_matches_anticommutator_recursions():
+    # every pair with j, k <= 16: the grid comes from the p-step (and the q-step on
+    # k = 0), and the q-step is checked between every two of its rows
+    n = 16
+    grid = weyl_by_anticommutators(n)
+    for (j, k), w in grid.items():
+        assert w == weyl_normal_form(j, k), (j, k)
+        if j < n:
+            assert weyl_q_step(w) == grid[j + 1, k], (j, k)
 
 
 def test_closed_form_matches_bruteforce_oracle():

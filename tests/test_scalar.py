@@ -1,9 +1,10 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from weylorder.scalar import Scalar, _gmul
 
@@ -154,6 +155,33 @@ def full_product(a, b):
     y_re, y_im = _gmul(a.x_re, a.x_im, b.y_re, b.y_im)
     u_re, u_im = _gmul(a.y_re, a.y_im, b.x_re, b.x_im)
     return Scalar(x_re + 2 * t_re, x_im + 2 * t_im, y_re + u_re, y_im + u_im)
+
+
+@given(scalars, scalars)
+@example(Scalar(1, 2, 3, 5), Scalar(7, 11, 13, 17))  # every one of the 16 products differs
+@example(Scalar(Fraction(1, 6), Fraction(-5, 4), Fraction(2, 9), Fraction(-7, 10)),
+         Scalar(Fraction(-3, 8), Fraction(1, 15), Fraction(-11, 2), Fraction(13, 3)))
+def test_product_matches_full_product(a, b):
+    # the integer 16-product against the same product written out in Fractions
+    assert a * b == full_product(a, b)
+
+
+def test_reduced_form():
+    # one stored form per value: numerators and a positive denominator with no common factor
+    assert Scalar(Fraction(2, 4), 6, 0, 0) == Scalar(Fraction(1, 2), 6) * 4 * Fraction(1, 4)
+    assert (SQRT2 - SQRT2)._v == Scalar()._v == (0, 0, 0, 0, 1)
+    n0, n1, n2, n3, d = (Scalar(Fraction(1, 6), Fraction(1, 10)) * Fraction(-15, 2))._v
+    assert (n0, n1, n2, n3, d) == (-5, -3, 0, 0, 4) and gcd(n0, n1, n2, n3, d) == 1
+
+
+@given(scalars, fracs.filter(bool), st.integers(min_value=1, max_value=12))
+def test_equal_values_have_one_stored_form(a, r, g):
+    # each result is reduced, so a value reached through an unreduced integer form
+    # equals, and hashes as, the same value built by the constructor
+    scaled = Scalar._of(*(g * f for f in (a.x_re, a.x_im, a.y_re, a.y_im)))
+    for value in (a * r * (1 / r), (a + r) - r, scaled * Fraction(1, g),
+                  a * Scalar(g) * Scalar(Fraction(1, g))):
+        assert value == a and hash(value) == hash(a)
 
 
 rational_operands = st.one_of(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weylorder.closedform import weyl_normal_form
+from weylorder.enumeration import CapExceededError
 from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
 from weylorder.textio import (ParseError, SystemFormatError, load_system,
@@ -41,6 +42,16 @@ def test_parse_boson_word():
     assert parse_boson_word("ad^2 * a^0 ad") == (CREATE, CREATE, CREATE)
     with pytest.raises(ParseError):
         parse_boson_word("q")
+
+
+def test_parse_boson_word_letter_cap():
+    assert parse_boson_word("a^3 ad", max_letters=4) == (ANNIHILATE,) * 3 + (CREATE,)
+    with pytest.raises(CapExceededError) as err:
+        parse_boson_word("a^3 ad^2", max_letters=4)
+    assert (err.value.degree, err.value.cap) == (5, 4)
+    # a power past sys.maxsize stays a parse error, whatever the cap
+    with pytest.raises(ParseError, match="power too large"):
+        parse_boson_word("a ad^99999999999999999999", max_letters=4)
 
 
 # a power of five or more digits would only make the expanded word large
