@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 
@@ -30,12 +31,24 @@ EXIT_CAP = 3
 MAX_DEGREE = 400
 # The most letters a normal-order word may expand to, checked before it is expanded.
 MAX_WORD_LETTERS = 10_000
-# A rejected argument is echoed to at most this many characters.
+# A rejected argument is echoed to at most this many characters, and a usage error
+# message (say, a list of many unrecognized arguments) to at most MESSAGE_CHARS.
 ECHO_CHARS = 20
+MESSAGE_CHARS = 150
+# A word of an error message that is cut: more than ECHO_CHARS characters, no blank or quote.
+_LONG_WORD_RE = re.compile(rf"[^\s']{{{ECHO_CHARS + 1},}}")
 
 
-def _echo(text: str) -> str:
-    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+def _echo(text: str, limit: int = ECHO_CHARS) -> str:
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose error messages echo each long word by its first characters."""
+
+    def error(self, message):
+        message = _LONG_WORD_RE.sub(lambda word: _echo(word[0]), message)
+        super().error(_echo(message, MESSAGE_CHARS))
 
 
 def _nonnegative(text: str) -> int:
@@ -58,7 +71,7 @@ def _check_degree(what: str, degree: int) -> None:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weylorder",
         description="Exact normal-ordered Weyl orderings of q^j p^k and friends.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -167,9 +180,10 @@ def cmd_quantize(args) -> int:
             "hbar_note": list(dyn.hbar_note),
         }))
         return EXIT_OK
+    # both sides are rendered before either is printed, so a render error leaves stdout empty
+    qdot, pdot = render(dyn.qdot_op, args.format), render(dyn.pdot_op, args.format)
     print(f"# quantize {args.path}", file=sys.stderr)
-    print(f"<q>' = {render(dyn.qdot_op, args.format)}")
-    print(f"<p>' = {render(dyn.pdot_op, args.format)}")
+    print(f"<q>' = {qdot}\n<p>' = {pdot}")
     for note in dyn.hbar_note:
         print(f"# hbar_note side={note['side']} j={note['j']} k={note['k']} "
               f"exponent_times_2={note['hbar_exponent_times_2']}", file=sys.stderr)

@@ -5,8 +5,9 @@ defining averages over all distinct orderings and share no code with it.
 The sum over every word of j x's and k y's is built by the word-sum
 recursion S(a, b) = S(a-1, b) x + S(a, b-1) y: the same sum, grouped by the
 last letter, in (j+1)(k+1) steps instead of C(j+k, j) word expansions.
-`distinct_orderings` lists the words themselves, for tests that form the
-average word by word.
+`distinct_orderings` lists the words themselves.  No route calls it: the
+tests form the average word by word with it, and the benchmark tracer
+counts the words it yields.
 """
 from __future__ import annotations
 
@@ -36,21 +37,9 @@ def distinct_orderings(j: int, k: int):
     """All multiset permutations of j Q's and k P's, lexicographic with Q < P."""
     if j < 0 or k < 0:
         raise ValueError("powers must be nonnegative")
-
-    def gen(prefix, nq, np_):
-        if nq == 0 and np_ == 0:
-            yield tuple(prefix)
-            return
-        if nq:
-            prefix.append(Q)
-            yield from gen(prefix, nq - 1, np_)
-            prefix.pop()
-        if np_:
-            prefix.append(P)
-            yield from gen(prefix, nq, np_ - 1)
-            prefix.pop()
-
-    yield from gen([], j, k)
+    # the Q positions in lexicographic order are the words in lexicographic order
+    for qs in combinations(range(j + k), j):
+        yield tuple(Q if r in qs else P for r in range(j + k))
 
 
 def _word_sum(j: int, k: int, x: NormalPoly, y: NormalPoly) -> NormalPoly:

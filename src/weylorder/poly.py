@@ -10,18 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .scalar import Scalar
+from .scalar import Scalar, _coerce
 
 CREATE = "ad"
 ANNIHILATE = "a"
 Q = "q"
 P = "p"
-
-
-def _to_scalar(value) -> Scalar:
-    if isinstance(value, Scalar):
-        return value
-    return Scalar.from_rational(value)
 
 
 class NormalPoly:
@@ -34,33 +28,16 @@ class NormalPoly:
         for (m, n), coeff in (terms or {}).items():
             if m < 0 or n < 0:
                 raise ValueError(f"negative operator power in term ({m}, {n})")
-            coeff = _to_scalar(coeff)
+            coeff = _coerce(coeff)
             if coeff:
                 clean[(m, n)] = coeff
         self._terms = clean
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "NormalPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "NormalPoly":
         return cls({(0, 0): 1})
 
-    @classmethod
-    def create(cls) -> "NormalPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def annihilate(cls) -> "NormalPoly":
-        return cls({(0, 1): 1})
-
     # -- access ------------------------------------------------------------
-
-    def coeff(self, m: int, n: int) -> Scalar:
-        return self._terms.get((m, n), Scalar())
 
     def items(self):
         """Terms in canonical order: descending m+n, then descending m."""
@@ -118,7 +95,7 @@ class NormalPoly:
         return self.scale(other)
 
     def scale(self, value) -> "NormalPoly":
-        value = _to_scalar(value)
+        value = _coerce(value)
         return NormalPoly({key: coeff * value for key, coeff in self._terms.items()})
 
     def _np_mul(self, other: "NormalPoly") -> "NormalPoly":
@@ -176,7 +153,7 @@ def normal_order_word(word) -> NormalPoly:
     for letter in word:
         if letter not in (CREATE, ANNIHILATE):
             raise ValueError(f"not a boson letter: {letter!r}")
-    return NormalPoly({key: Fraction(c) for key, c in _normal_order_int(word).items()})
+    return NormalPoly(_normal_order_int(word))
 
 
 # -- q/p words -------------------------------------------------------------

@@ -9,13 +9,12 @@ operation works on the ints and ends with one multi-argument gcd, instead of
 one Fraction (and one gcd) per component.  Floats are rejected everywhere:
 there is no approximate mode.
 
-There are two constructors.  The public `Scalar(...)` validates: each
-component goes through `_frac`, so an int, str or other exact rational is
-converted and a float or bool raises `TypeError`.  The private `Scalar._of`
-trusts its input: the four components must already be `Fraction`s, and it
-puts them over their least common denominator without a check.  The
-components read back through the properties `x_re`, `x_im`, `y_re` and
-`y_im` as `Fraction`s.  A `Scalar` is immutable and hashes by its reduced form.
+The constructor `Scalar(...)` validates: each component goes through
+`_frac`, so an int, str or other exact rational is converted and a float or
+bool raises `TypeError`.  Every ring operation builds its result through
+`_make`.  The components read back through the properties `x_re`, `x_im`,
+`y_re` and `y_im` as `Fraction`s.  A `Scalar` is immutable and hashes by its
+reduced form.
 """
 from __future__ import annotations
 
@@ -69,24 +68,9 @@ class Scalar:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _of(cls, x_re: Fraction, x_im: Fraction, y_re: Fraction, y_im: Fraction) -> "Scalar":
-        """Trusted constructor: the components are already Fractions and are not checked."""
-        self = _new(cls)
-        _set_v(self, _over_lcm(x_re, x_im, y_re, y_im))
-        return self
-
-    @classmethod
     def from_rational(cls, value) -> "Scalar":
         value = _frac(value)
         return _make(value.numerator, 0, 0, 0, value.denominator)
-
-    @classmethod
-    def i(cls) -> "Scalar":
-        return cls(x_im=Fraction(1))
-
-    @classmethod
-    def sqrt2(cls) -> "Scalar":
-        return cls(y_re=Fraction(1))
 
     @classmethod
     def weyl_unit(cls, j: int, k: int, r=1) -> "Scalar":
@@ -164,16 +148,12 @@ class Scalar:
         a0, a1, a2, a3, _ = self._v
         return bool(a0 or a1 or a2 or a3)
 
-    def is_rational(self) -> bool:
-        _, a1, a2, a3, _ = self._v
-        return not (a1 or a2 or a3)
-
     def __repr__(self) -> str:
         return (f"Scalar({self.x_re!s}, {self.x_im!s}i, "
                 f"{self.y_re!s}r2, {self.y_im!s}ir2)")
 
 
-# The slot setter that bypasses Scalar.__setattr__; only the constructors and _make call it.
+# The slot setter that bypasses Scalar.__setattr__; only __init__ and _make call it.
 _set_v = Scalar._v.__set__
 
 
@@ -194,11 +174,6 @@ def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> Scalar:
     self = _new(Scalar)
     _set_v(self, (n0, n1, n2, n3, d) if g == 1 else (n0 // g, n1 // g, n2 // g, n3 // g, d // g))
     return self
-
-
-def _gmul(a_re, a_im, b_re, b_im):
-    """Gaussian product (a_re + a_im i)(b_re + b_im i) as its two parts."""
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
 def _coerce(value) -> Scalar:

@@ -9,6 +9,7 @@ num or num/den appear only as system-file coefficients; decimals are rejected.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -74,28 +75,40 @@ def parse_boson_word(text: str, max_letters: int | None = None) -> tuple:
 
 # -- rendering -------------------------------------------------------------
 
+def _digits(n: int) -> str:
+    """str(n), or CapExceededError past the interpreter's int-to-digits limit."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        n = abs(n)
+        digits = int(math.log10(n)) + 1  # the float log is off by one next to a power of 10
+        digits += (n >= 10 ** digits) - (n < 10 ** (digits - 1))
+        limit = sys.get_int_max_str_digits()
+        raise CapExceededError("coefficient digits", digits, limit) from None
+
+
 def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
 
 
 def _component_plain(f: Fraction, symbol: str) -> str:
-    num = abs(f.numerator)
+    num = _digits(abs(f.numerator))
     if symbol:
-        head = symbol if num == 1 else f"{num}*{symbol}"
+        head = symbol if num == "1" else f"{num}*{symbol}"
     else:
-        head = str(num)
-    return head if f.denominator == 1 else f"{head}/{f.denominator}"
+        head = num
+    return head if f.denominator == 1 else f"{head}/{_digits(f.denominator)}"
 
 
 def _component_latex(f: Fraction, symbol: str) -> str:
-    num = abs(f.numerator)
+    num = _digits(abs(f.numerator))
     if symbol:
-        head = symbol if num == 1 else f"{num}{symbol}"
+        head = symbol if num == "1" else f"{num}{symbol}"
     else:
-        head = str(num)
+        head = num
     if f.denominator == 1:
         return head
-    return rf"\frac{{{head}}}{{{f.denominator}}}"
+    return rf"\frac{{{head}}}{{{_digits(f.denominator)}}}"
 
 
 _PLAIN_SYMBOLS = ("", "i", "sqrt2", "i*sqrt2")

@@ -16,8 +16,17 @@ from weylorder.poly import CREATE, P_POLY, Q, Q_POLY, NormalPoly
 from weylorder.scalar import Scalar
 
 HALF = Fraction(1, 2)
+I = Scalar(x_im=1)
+SQRT2 = Scalar(y_re=1)
 INV_SQRT2 = Scalar(y_re=HALF)            # 1/sqrt2 = sqrt2/2
 I_INV_SQRT2 = Scalar(y_im=HALF)          # i/sqrt2
+AD_POLY = NormalPoly({(1, 0): 1})        # the monomials ad and a
+A_POLY = NormalPoly({(0, 1): 1})
+
+
+def gmul(a_re, a_im, b_re, b_im):
+    """Gaussian product (a_re + a_im i)(b_re + b_im i) as its two parts."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
 def mul_x(coeffs):

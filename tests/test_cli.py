@@ -206,9 +206,10 @@ def test_normal_order_letter_cap(capsys):
 
 
 def test_long_argument_echo_is_truncated(capsys):
-    # a rejected argument is echoed by its first characters only
+    # a rejected argument is echoed by its first characters only, and a message is cut too
     for argv in (["weyl", "9" * 5000, "1"], ["weyl", "x" * 300, "1"],
-                 ["coeffs", "1", "-" + "9" * 3000]):
+                 ["coeffs", "1", "-" + "9" * 3000], ["weyl", "1", "1", "--method", "x" * 5000],
+                 ["weyl", "1", "1", "--method", "x " * 1000], ["weyl", "1", "1", *["a"] * 1000]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "..." in err
@@ -273,6 +274,21 @@ def test_quantize_malformed(capsys, tmp_path):
         code, _, err = run(capsys, "quantize", str(path))
         assert code == 2
         assert "qdot[0]" in err
+
+
+# 4290 digits times the Weyl coefficients of q^40 p^40 pass the 4300-digit int-to-str limit;
+# the small qdot side renders, so stdout shows whether it was printed before pdot failed
+BIG_COEFF_SYSTEM = {"qdot": [{"j": 1, "k": 0, "coeff": "1"}],
+                    "pdot": [{"j": 40, "k": 40, "coeff": "9" * 4290}]}
+
+
+def test_quantize_big_coefficient(capsys, tmp_path):
+    path = tmp_path / "bigcoeff.json"
+    path.write_text(json.dumps(BIG_COEFF_SYSTEM))
+    for fmt in ("plain", "latex", "structured"):
+        code, out, err = run(capsys, "quantize", str(path), "--format", fmt)
+        assert (code, out) == (3, ""), fmt
+        assert "coefficient digits" in err and "Traceback" not in err
 
 
 def test_quantize_not_utf8(capsys, tmp_path):
@@ -370,7 +386,9 @@ def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 2
 
 
-SYSTEMS = {"small.json": 2, "huge.json": 10 ** 9}
+SYSTEMS = {"small.json": {"qdot": [{"j": 2, "k": 1, "coeff": "1/2"}], "pdot": []},
+           "huge.json": {"qdot": [{"j": 10 ** 9, "k": 1, "coeff": "1/2"}], "pdot": []},
+           "bigcoeff.json": BIG_COEFF_SYSTEM}
 COMMANDS = ["weyl", "normal-order", "coeffs", "quantize", "check"]
 INTS = ["-1", "0", "3", "1000000000", "9" * 5000]
 OPTIONS = {"--method": ["closed", "brute", "forced", "cg"], "--route": ["rewrite", "blasiak"],
@@ -396,9 +414,8 @@ def argvs(draw):
 @pytest.fixture(scope="module")
 def systems_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("systems")
-    for name, j in SYSTEMS.items():
-        (directory / name).write_text(json.dumps({"qdot": [{"j": j, "k": 1, "coeff": "1/2"}],
-                                                  "pdot": []}))
+    for name, document in SYSTEMS.items():
+        (directory / name).write_text(json.dumps(document))
     return directory
 
 
@@ -409,6 +426,8 @@ def systems_dir(tmp_path_factory):
 @example(argv=["quantize", "huge.json"])
 @example(argv=["check", "--max", "1000000000"])
 @example(argv=["normal-order", "a^100000000"])
+@example(argv=["quantize", "bigcoeff.json"])
+@example(argv=["weyl", "1", "1", "--method", "9" * 5000])
 def test_every_argv_honours_the_exit_codes(systems_dir, argv):
     argv = [str(systems_dir / word) if word in POSITIONALS["quantize"] else word
             for word in argv]
@@ -416,5 +435,8 @@ def test_every_argv_honours_the_exit_codes(systems_dir, argv):
         # the default --max 6 is opt-in work; a drawn --max later in argv still wins
         at = argv.index("check") + 1
         argv[at:at] = ["--max", "3"]
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
         assert main(argv) in (0, 1, 2, 3)
+    # no message echoes a long argument whole
+    assert all(len(line) < 200 for line in err.getvalue().splitlines())

@@ -12,6 +12,8 @@ from weylorder.enumeration import (CapExceededError, distinct_orderings,
 from weylorder.poly import P, Q, NormalPoly, expand_qp_word
 from weylorder.scalar import Scalar
 
+from oracle import I
+
 
 def test_distinct_orderings_basic():
     assert list(distinct_orderings(2, 1)) == [(Q, Q, P), (Q, P, Q), (P, Q, Q)]
@@ -39,7 +41,7 @@ def test_bruteforce_is_order_invariant():
     # averaging commutes with shuffling the enumeration order
     words = list(distinct_orderings(2, 2))
     random.Random(3).shuffle(words)
-    total = NormalPoly.zero()
+    total = NormalPoly()
     for word in words:
         total = total + expand_qp_word(word)
     assert total * Fraction(1, len(words)) == weyl_bruteforce(2, 2)
@@ -54,7 +56,7 @@ def _word_average_pairs():
 def test_bruteforce_equals_per_word_average():
     # the word-sum recursion against the defining average, one word at a time
     for j, k in _word_average_pairs():
-        total = NormalPoly.zero()
+        total = NormalPoly()
         for word in distinct_orderings(j, k):
             total = total + expand_qp_word(word)
         assert weyl_bruteforce(j, k) == total * Fraction(1, comb(j + k, j)), (j, k)
@@ -64,7 +66,7 @@ def test_forced_equals_per_arrangement_average():
     plus = NormalPoly({(1, 0): 1, (0, 1): 1})
     minus = NormalPoly({(1, 0): 1, (0, 1): -1})
     for j, k in _word_average_pairs():
-        total = NormalPoly.zero()
+        total = NormalPoly()
         for word in distinct_orderings(j, k):
             prod = NormalPoly.one()
             for letter in word:
@@ -73,7 +75,7 @@ def test_forced_equals_per_arrangement_average():
         # the unit i^k 2^{-(j+k)/2} written out, independent of Scalar.weyl_unit
         unit = Scalar.from_rational(Fraction(1, comb(j + k, j)))
         for _ in range(k):
-            unit = unit * Scalar.i()
+            unit = unit * I
         for _ in range(j + k):
             unit = unit * Scalar(y_re=Fraction(1, 2))
         assert weyl_forced(j, k) == total * unit, (j, k)

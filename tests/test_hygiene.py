@@ -1,9 +1,14 @@
 """Source hygiene checks over the package and its tests, standard library only."""
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+PACKAGE = ROOT / "src" / "weylorder"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import tracing  # noqa: E402
 
 
 def unused_imports(source: str) -> list:
@@ -39,3 +44,59 @@ def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text(encoding="utf-8"))
              for path in SOURCES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def unread_names(modules: dict, excused=frozenset()) -> list:
+    """Definitions in {module name: source} that no module reads.
+
+    A module-level function, class or constant counts as read when its name is
+    loaded or read as an attribute anywhere; a non-dunder method only when it
+    is read as an attribute.  Names in ``excused`` ("module.name" or
+    "module.Class.method") are not reported.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    names, attrs = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                            and item.name not in attrs):
+                        unread.append(f"{module}.{node.name}.{item.name}")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                defined = []
+            unread += [f"{module}.{name}" for name in defined
+                       if name not in names and name not in attrs]
+    return sorted(name for name in unread if name not in excused)
+
+
+def test_test_only_names_are_flagged():
+    # a loop variable i does not read the method C.i; an unread dunder is not reported
+    modules = {"m": "class C:\n    def i(self): pass\n    def j(self): pass\n"
+                    "    def __len__(self): return 0\n"
+                    "X = 1\ndef f(): pass\ndef g(): return X\n",
+               "n": "from m import C\nfor i in range(3): C().j()\nprint(g)\n"}
+    assert unread_names(modules) == ["m.C.i", "m.f"]
+    assert unread_names({"m": "def f(): pass\n"}, excused={"m.f"}) == []
+
+
+def test_no_test_only_names_in_src():
+    # perfbench/tracing.py wraps its TARGETS, so those names are read from outside
+    traced = {f"{module}.{attr}" for _, module, attr, _ in tracing.TARGETS}
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert modules
+    assert unread_names(modules, traced) == []

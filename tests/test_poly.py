@@ -10,28 +10,28 @@ from weylorder.poly import (_NO_CACHE, ANNIHILATE, CREATE, P, Q, NormalPoly,
                             expand_qp_word, normal_order_word)
 from weylorder.scalar import Scalar
 
-from oracle import (apply_boson_word, apply_normal_poly, apply_qp_word, same_poly,
-                    unit)
+from oracle import (A_POLY, AD_POLY, I, apply_boson_word, apply_normal_poly, apply_qp_word,
+                    same_poly, unit)
 
 I_HALF = Scalar(x_im=Fraction(1, 2))
 
 
 def test_np_add():
     f = NormalPoly({(1, 1): 1})
-    assert f + NormalPoly({(1, 1): -1}) == NormalPoly.zero()
+    assert f + NormalPoly({(1, 1): -1}) == NormalPoly()
     g = NormalPoly({(2, 0): I_HALF}) + NormalPoly({(0, 2): -I_HALF})
     assert len(g) == 2
-    assert f + NormalPoly.zero() == f
+    assert f + NormalPoly() == f
 
 
 def test_np_mul_single_commutator():
-    a, ad = NormalPoly.annihilate(), NormalPoly.create()
+    a, ad = A_POLY, AD_POLY
     assert a * ad == NormalPoly({(1, 1): 1, (0, 0): 1})
     assert ad * a == NormalPoly({(1, 1): 1})
 
 
 def test_np_mul_a2_ad2():
-    a, ad = NormalPoly.annihilate(), NormalPoly.create()
+    a, ad = A_POLY, AD_POLY
     # frozen from the rewriting oracle
     assert a * a * ad * ad == NormalPoly({(2, 2): 1, (1, 1): 4, (0, 0): 2})
 
@@ -109,7 +109,7 @@ def test_qp_adjoint_is_reversal():
 
 def test_canonical_commutator():
     diff = expand_qp_word([Q, P]) - expand_qp_word([P, Q])
-    assert diff == NormalPoly({(0, 0): Scalar.i()})
+    assert diff == NormalPoly({(0, 0): I})
 
 
 def test_degree_bound_and_parity():

@@ -6,15 +6,13 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from weylorder.scalar import Scalar, _gmul
+from weylorder.scalar import Scalar
+
+from oracle import I, SQRT2, gmul
 
 
 def rational(num, den=1):
     return Scalar.from_rational(Fraction(num, den))
-
-
-SQRT2 = Scalar.sqrt2()
-I = Scalar.i()
 
 
 def test_add():
@@ -120,20 +118,19 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(fracs, fracs, fracs, fracs)
-def test_trusted_constructor_matches_public(x_re, x_im, y_re, y_im):
-    trusted = Scalar._of(x_re, x_im, y_re, y_im)
-    public = Scalar(x_re, x_im, y_re, y_im)
-    assert trusted == public and hash(trusted) == hash(public)
-    # int components reach the same value through the public constructor's check
-    if all(f.denominator == 1 for f in (x_re, x_im, y_re, y_im)):
-        ints = Scalar(int(x_re), int(x_im), int(y_re), int(y_im))
-        assert ints == trusted and hash(ints) == hash(trusted)
+small_ints = st.integers(min_value=-50, max_value=50)
+
+
+@given(st.tuples(small_ints, small_ints, small_ints, small_ints))
+def test_int_components_match_fraction_components(parts):
+    # int components reach the stored form of their Fractions through the constructor's check
+    ints, fractions = Scalar(*parts), Scalar(*map(Fraction, parts))
+    assert ints == fractions and hash(ints) == hash(fractions)
 
 
 @given(scalars, scalars, st.integers(min_value=-3, max_value=3), st.integers(0, 7))
 def test_ring_results_match_public_constructor(a, b, j, k):
-    # every operation builds its result through the trusted constructor
+    # every operation builds its result through _make, in the reduced form the constructor makes
     for value in (a + b, a - b, -a, a * b, a * 3, a.conj(), Scalar.weyl_unit(abs(j), k, a.x_re)):
         parts = (value.x_re, value.x_im, value.y_re, value.y_im)
         assert all(type(part) is Fraction for part in parts)
@@ -150,10 +147,10 @@ def test_conj_is_ring_involution(a, b):
 
 def full_product(a, b):
     """The four-component product, written out with no rational shortcut."""
-    x_re, x_im = _gmul(a.x_re, a.x_im, b.x_re, b.x_im)
-    t_re, t_im = _gmul(a.y_re, a.y_im, b.y_re, b.y_im)
-    y_re, y_im = _gmul(a.x_re, a.x_im, b.y_re, b.y_im)
-    u_re, u_im = _gmul(a.y_re, a.y_im, b.x_re, b.x_im)
+    x_re, x_im = gmul(a.x_re, a.x_im, b.x_re, b.x_im)
+    t_re, t_im = gmul(a.y_re, a.y_im, b.y_re, b.y_im)
+    y_re, y_im = gmul(a.x_re, a.x_im, b.y_re, b.y_im)
+    u_re, u_im = gmul(a.y_re, a.y_im, b.x_re, b.x_im)
     return Scalar(x_re + 2 * t_re, x_im + 2 * t_im, y_re + u_re, y_im + u_im)
 
 
@@ -178,7 +175,7 @@ def test_reduced_form():
 def test_equal_values_have_one_stored_form(a, r, g):
     # each result is reduced, so a value reached through an unreduced integer form
     # equals, and hashes as, the same value built by the constructor
-    scaled = Scalar._of(*(g * f for f in (a.x_re, a.x_im, a.y_re, a.y_im)))
+    scaled = Scalar(*(g * f for f in (a.x_re, a.x_im, a.y_re, a.y_im)))
     for value in (a * r * (1 / r), (a + r) - r, scaled * Fraction(1, g),
                   a * Scalar(g) * Scalar(Fraction(1, g))):
         assert value == a and hash(value) == hash(a)

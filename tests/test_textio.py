@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -91,9 +92,20 @@ def test_parse_boson_word_expands_runs(runs):
 
 def test_render_plain():
     assert render(weyl_normal_form(1, 1)) == "(i/2) ad^2 - (i/2) a^2"
-    assert render(NormalPoly.zero()) == "0"
+    assert render(NormalPoly()) == "0"
     assert render(normal_order_word((ANNIHILATE, CREATE))) == "ad a + 1"
     assert render(NormalPoly({(0, 0): Scalar(x_re=1, y_re=1)})) == "(1 + sqrt2)"
+
+
+def test_render_past_the_digit_limit():
+    # an int of more digits than str() converts is a cap error (CLI exit 3), not a ValueError
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** limit
+    for coeff in (Scalar(big), Scalar(x_im=Fraction(1, big)), Scalar(y_re=1, y_im=-big)):
+        for fmt in ("plain", "latex", "structured"):
+            with pytest.raises(CapExceededError, match=f"digits: degree {limit + 1} exceeds"):
+                render(NormalPoly({(1, 0): coeff}), fmt)
+    assert render(NormalPoly({(0, 0): big - 1})) == "9" * limit
 
 
 # (component, value) -> (plain, latex, plain with ad a^2, latex with ad a^2)
