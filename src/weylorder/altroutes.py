@@ -21,8 +21,7 @@ def cg_weyl_monomial(m: int, n: int) -> NormalPoly:
         raise ValueError("powers must be nonnegative")
     terms = {}
     for l in range(min(m, n) + 1):
-        terms[(n - l, m - l)] = Scalar.from_rational(
-            Fraction(factorial(l), 2 ** l) * comb(m, l) * comb(n, l))
+        terms[(n - l, m - l)] = Fraction(factorial(l) * comb(m, l) * comb(n, l), 1 << l)
     return NormalPoly(terms)
 
 
@@ -30,18 +29,22 @@ def weyl_via_cg(j: int, k: int) -> NormalPoly:
     """Weyl ordering of q^j p^k through the bracket-conversion route.
 
     Inside the Weyl bracket the letters commute, so (a+ad)^j (ad-a)^k is
-    expanded binomially and each commutative monomial a^m ad^n is converted
-    with cg_weyl_monomial.  The converted monomials are summed into one dict.
+    expanded binomially, in ints, into one coefficient per commutative
+    monomial a^m ad^(j+k-m); each of these j+k+1 monomials is then converted
+    with cg_weyl_monomial, and the converted monomials are summed into one dict.
     """
     if j < 0 or k < 0:
         raise ValueError("powers must be nonnegative")
-    acc: dict = {}
+    n = j + k
+    row = [0] * (n + 1)  # row[m]: coefficient of a^m ad^(n-m)
     for alpha in range(j + 1):
         for beta in range(k + 1):
-            m = alpha + (k - beta)
-            n = (j - alpha) + beta
-            c = comb(j, alpha) * comb(k, beta) * (-1) ** (k - beta)
-            cg_weyl_monomial(m, n)._add_into(acc, Fraction(c))
+            c = comb(j, alpha) * comb(k, beta)
+            row[alpha + k - beta] += -c if (k - beta) % 2 else c
+    acc: dict = {}
+    for m, c in enumerate(row):
+        if c:
+            cg_weyl_monomial(m, n - m)._add_into(acc, c)
     return NormalPoly(acc) * Scalar.weyl_unit(j, k)
 
 

@@ -68,7 +68,7 @@ class NormalPoly:
         other._add_into(acc)
         return NormalPoly(acc)
 
-    def _add_into(self, acc: dict, factor: Fraction | None = None) -> None:
+    def _add_into(self, acc: dict, factor: Fraction | int | None = None) -> None:
         """Add self, times an optional rational factor, into the term dict acc in place.
 
         A sum of many polynomials accumulates into one dict this way and becomes
@@ -108,7 +108,7 @@ class NormalPoly:
                 for k in range(min(n1, m2) + 1):
                     w = factorial(k) * comb(n1, k) * comb(m2, k)
                     key = (m1 + m2 - k, n1 + n2 - k)
-                    term = c if w == 1 else c._times_rational(Fraction(w))
+                    term = c if w == 1 else c._times_rational(w)
                     prev = acc.get(key)
                     acc[key] = term if prev is None else prev + term
         return NormalPoly(acc)

@@ -7,12 +7,16 @@ applied to monomials x^t and compared coefficient by coefficient, so the
 check shares no code with the rewriting or closed-form routes.
 
 It also builds Weyl-ordered monomials by the anticommutator recursion, which
-shares the NormalPoly product with brute but no code with the closed form.
+shares the NormalPoly product with brute but no code with the closed form,
+and holds the direct forms of two package sums: the eta sign sum over all
+n! permutations and the cg route as one converted bracket per binomial term.
 """
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb, factorial
 
-from weylorder.poly import CREATE, P_POLY, Q, Q_POLY, NormalPoly
+from weylorder.altroutes import cg_weyl_monomial
+from weylorder.poly import ANNIHILATE, CREATE, P_POLY, Q, Q_POLY, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
 
 HALF = Fraction(1, 2)
@@ -134,3 +138,43 @@ def weyl_by_anticommutators(n):
         for k in range(1, n + 1):
             grid[j, k] = weyl_p_step(grid[j, k - 1])
     return grid
+
+
+def eta_sum_by_permutations(j, k, u, v):
+    """The symbolic sign sum of slot (u, v), summed over all (j+k)! sign permutations.
+
+    Each subset T of positions that take the letter a has the integer weight
+    of its word in the slot; a permutation sigma of the signs (+)^j (-)^k
+    gives it the sign prod_{r in T} s_sigma(r).
+    """
+    n = j + k
+    slot = (n - 2 * u - v, v)
+    monomials = []
+    for subset in combinations(range(n), u + v):
+        word = tuple(ANNIHILATE if r in subset else CREATE for r in range(n))
+        weight = dict(normal_order_word(word).items()).get(slot)
+        if weight is not None:
+            monomials.append((subset, int(weight.x_re)))
+    canonical = [1] * j + [-1] * k
+    total = 0
+    for sigma in permutations(range(n)):
+        for subset, weight in monomials:
+            prod = weight
+            for r in subset:
+                prod *= canonical[sigma[r]]
+            total += prod
+    return total
+
+
+def weyl_by_cg_monomials(j, k):
+    """The cg route term by term: C(j,alpha) C(k,beta) (-1)^(k-beta) {a^m ad^n}_W, unit applied.
+
+    One converted bracket per (alpha, beta), each scaled by a Fraction, with
+    m = alpha + k - beta and n = j - alpha + beta.
+    """
+    acc = {}
+    for alpha in range(j + 1):
+        for beta in range(k + 1):
+            c = comb(j, alpha) * comb(k, beta) * (-1) ** (k - beta)
+            cg_weyl_monomial(alpha + k - beta, j - alpha + beta)._add_into(acc, Fraction(c))
+    return NormalPoly(acc) * Scalar.weyl_unit(j, k)

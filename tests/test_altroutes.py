@@ -11,7 +11,7 @@ from weylorder.enumeration import weyl_bruteforce
 from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
 
-from oracle import blasiak_coeff_sum
+from oracle import blasiak_coeff_sum, weyl_by_cg_monomials
 
 
 def test_falling_factorial():
@@ -129,3 +129,19 @@ def test_boson_string_validation():
         BosonString((), ())
     with pytest.raises(ValueError):
         BosonString((-1,), (0,))
+
+
+def test_weyl_via_cg_matches_per_monomial_sum():
+    # the binomial row summed in ints against one Fraction-scaled bracket per (alpha, beta)
+    for degree in range(11):
+        for j in range(degree + 1):
+            assert weyl_via_cg(j, degree - j) == weyl_by_cg_monomials(j, degree - j), (j, degree - j)
+
+
+def test_routes_agree_to_degree_16():
+    for degree in range(17):
+        for j in range(degree + 1):
+            k = degree - j
+            closed = weyl_normal_form(j, k)
+            assert closed == weyl_bruteforce(j, k), (j, k)
+            assert closed == weyl_via_cg(j, k), (j, k)

@@ -5,14 +5,14 @@ from math import comb
 import pytest
 
 from weylorder.altroutes import weyl_via_cg
-from weylorder.closedform import weyl_normal_form
+from weylorder.closedform import slots, weyl_normal_form
 from weylorder.enumeration import (CapExceededError, distinct_orderings,
                                    eta_decomposition_check, weyl_bruteforce,
                                    weyl_forced)
 from weylorder.poly import P, Q, NormalPoly, expand_qp_word
 from weylorder.scalar import Scalar
 
-from oracle import I
+from oracle import I, eta_sum_by_permutations
 
 
 def test_distinct_orderings_basic():
@@ -103,6 +103,12 @@ def test_forced_matches_bruteforce():
             assert weyl_forced(j, degree - j) == weyl_bruteforce(j, degree - j)
 
 
+def test_forced_matches_bruteforce_to_degree_12():
+    for degree in range(13):
+        for j in range(degree + 1):
+            assert weyl_forced(j, degree - j) == weyl_bruteforce(j, degree - j), (j, degree - j)
+
+
 def test_forced_cap():
     # the forced route has no cap: degree 9 used to raise CapExceededError
     assert weyl_forced(5, 4) == weyl_bruteforce(5, 4)
@@ -147,6 +153,26 @@ def test_eta_full_sweep():
 def test_eta_cap():
     with pytest.raises(CapExceededError):
         eta_decomposition_check(4, 3, 0, 0)
+
+
+def test_eta_sum_equals_permutation_sum():
+    # the sum over distinct sign arrangements times j!k! against all (j+k)! permutations
+    for degree in range(7):
+        for j in range(degree + 1):
+            for u, v in slots(degree):
+                check = eta_decomposition_check(j, degree - j, u, v)
+                assert check.symbolic_sum == eta_sum_by_permutations(j, degree - j, u, v), \
+                    (j, degree - j, u, v)
+
+
+def test_eta_decomposition_to_degree_8():
+    for degree in range(9):
+        for j in range(degree + 1):
+            for u, v in slots(degree):
+                assert eta_decomposition_check(j, degree - j, u, v, cap=8).matches, \
+                    (j, degree - j, u, v)
+    with pytest.raises(CapExceededError):
+        eta_decomposition_check(5, 4, 0, 0, cap=8)
 
 
 def test_forced_equals_closed():
