@@ -6,9 +6,11 @@ equivalent implementations (alternating sum, polynomial coefficient,
 guard-function sum, nonzero-range sum) that are cross-checked in the test
 suite and by the `check` sweep.
 
-Every coefficient of one (j, k) is the unit i^k 2^{-(j+k)/2} times a
-rational, so the table is built from one zeta row in exact rationals and
-the unit is applied to each slot by `Scalar.weyl_unit`.
+Every coefficient of one (j, k) is the unit i^k 2^{-(j+k)/2} times u!/2^u
+times an integer, so the table is built from one zeta row in ints: the unit
+is applied once per row u, as `Scalar.weyl_unit(j, k, 1/2^u)`, and each slot
+of the row is that unit scaled by the slot's int numerator
+u! C(n-u-v, u) C(u+v, u) zeta[u+v] through `Scalar._times_rational`.
 """
 from __future__ import annotations
 
@@ -77,10 +79,9 @@ def zeta_range(j: int, k: int, t: int) -> int:
                for m in range(max(0, t - j), min(k, t) + 1))
 
 
-def _slot_rational(n: int, u: int, v: int, zeta: list) -> Fraction:
-    """u!/2^u C(n-u-v, u) C(u+v, u) zeta[u+v]: h(j,k,u,v) without the unit, n = j+k."""
-    return Fraction(factorial(u) * comb(n - u - v, u) * comb(u + v, u) * zeta[u + v],
-                    2 ** u)
+def _slot_numerator(n: int, u: int, v: int, zeta: int) -> int:
+    """u! C(n-u-v, u) C(u+v, u) zeta(j, k, u+v): h(j,k,u,v) without unit and 1/2^u, n = j+k."""
+    return factorial(u) * comb(n - u - v, u) * comb(u + v, u) * zeta
 
 
 def slots(n: int):
@@ -91,12 +92,16 @@ def slots(n: int):
 
 
 def h_coeff(j: int, k: int, u: int, v: int) -> Scalar:
-    """Coefficient of ad^(j+k-2u-v) a^v in the normal form of the Weyl ordering."""
+    """Coefficient of ad^(j+k-2u-v) a^v in the normal form of the Weyl ordering.
+
+    Its one zeta value comes from the nonzero-range sum, not the row `h_slots` expands.
+    """
     if min(j, k, u, v) < 0:
         raise ValueError("indices must be nonnegative")
     if 2 * u + v > j + k:
         raise ValueError("2u+v exceeds j+k")
-    return Scalar.weyl_unit(j, k, _slot_rational(j + k, u, v, zeta_row(j, k)))
+    unit = Scalar.weyl_unit(j, k, Fraction(1, 1 << u))
+    return unit._times_rational(_slot_numerator(j + k, u, v, zeta_range(j, k, u + v)))
 
 
 def h_slots(j: int, k: int):
@@ -106,7 +111,9 @@ def h_slots(j: int, k: int):
     n = j + k
     zeta = zeta_row(j, k)
     for u, v in slots(n):
-        yield u, v, Scalar.weyl_unit(j, k, _slot_rational(n, u, v, zeta))
+        if not v:  # each row u starts at v = 0: the unit of the row, over 2^u
+            unit = Scalar.weyl_unit(j, k, Fraction(1, 1 << u))
+        yield u, v, unit._times_rational(_slot_numerator(n, u, v, zeta[u + v]))
 
 
 def weyl_normal_form(j: int, k: int) -> NormalPoly:

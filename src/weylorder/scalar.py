@@ -13,8 +13,9 @@ The constructor `Scalar(...)` validates: each component goes through
 `_frac`, so an int, str or other exact rational is converted and a float or
 bool raises `TypeError`.  Every ring operation builds its result through
 `_make`.  The components read back through the properties `x_re`, `x_im`,
-`y_re` and `y_im` as `Fraction`s.  A `Scalar` is immutable and hashes by its
-reduced form.
+`y_re` and `y_im` as `Fraction`s; the renderers in `textio` skip them, and
+read the stored ints, reducing each component n_i/d by one gcd.  A `Scalar`
+is immutable and hashes by its reduced form.
 """
 from __future__ import annotations
 

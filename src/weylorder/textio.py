@@ -13,6 +13,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .enumeration import CapExceededError
 from .poly import ANNIHILATE, CREATE, NormalPoly
@@ -91,24 +92,24 @@ def _frac_str(f: Fraction) -> str:
     return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
 
 
-def _component_plain(f: Fraction, symbol: str) -> str:
-    num = _digits(abs(f.numerator))
+def _component_plain(num: int, den: int, symbol: str) -> str:
+    digits = _digits(abs(num))
     if symbol:
-        head = symbol if num == "1" else f"{num}*{symbol}"
+        head = symbol if digits == "1" else f"{digits}*{symbol}"
     else:
-        head = num
-    return head if f.denominator == 1 else f"{head}/{_digits(f.denominator)}"
+        head = digits
+    return head if den == 1 else f"{head}/{_digits(den)}"
 
 
-def _component_latex(f: Fraction, symbol: str) -> str:
-    num = _digits(abs(f.numerator))
+def _component_latex(num: int, den: int, symbol: str) -> str:
+    digits = _digits(abs(num))
     if symbol:
-        head = symbol if num == "1" else f"{num}{symbol}"
+        head = symbol if digits == "1" else f"{digits}{symbol}"
     else:
-        head = num
-    if f.denominator == 1:
+        head = digits
+    if den == 1:
         return head
-    return rf"\frac{{{head}}}{{{_digits(f.denominator)}}}"
+    return rf"\frac{{{head}}}{{{_digits(den)}}}"
 
 
 _PLAIN_SYMBOLS = ("", "i", "sqrt2", "i*sqrt2")
@@ -116,18 +117,22 @@ _LATEX_SYMBOLS = ("", "i", r"\sqrt{2}", r"i\sqrt{2}")
 
 
 def _scalar_text(c: Scalar, latex: bool):
-    """Return (magnitude_text, negated_for_display, is_bare_positive_integer)."""
+    """Return (magnitude_text, negated_for_display, is_bare_positive_integer).
+
+    Each nonzero stored component n_i/d is reduced by one gcd to the formatter's (num, den).
+    """
     symbols = _LATEX_SYMBOLS if latex else _PLAIN_SYMBOLS
     fmt = _component_latex if latex else _component_plain
-    pieces = [(f, s) for f, s in zip((c.x_re, c.x_im, c.y_re, c.y_im), symbols) if f]
-    lead, symbol = pieces[0]
-    negated = lead.numerator < 0
+    *nums, d = c._v
+    pieces = [(n // (g := gcd(n, d)), d // g, s) for n, s in zip(nums, symbols) if n]
+    num, den, symbol = pieces[0]
+    negated = num < 0
     if len(pieces) == 1:  # every Weyl coefficient has exactly one component
-        return fmt(lead, symbol), negated, not symbol and lead.denominator == 1
+        return fmt(num, den, symbol), negated, not symbol and den == 1
     # the component texts carry no sign; each sign is read relative to the lead's
-    body = fmt(lead, symbol)
-    for f, s in pieces[1:]:
-        body += (" - " if (f.numerator < 0) != negated else " + ") + fmt(f, s)
+    body = fmt(num, den, symbol)
+    for num, den, symbol in pieces[1:]:
+        body += (" - " if (num < 0) != negated else " + ") + fmt(num, den, symbol)
     return body, negated, False
 
 
@@ -149,9 +154,14 @@ def _term_latex(m: int, n: int) -> str:
     return out
 
 
+_FIELDS = ("x_re", "x_im", "y_re", "y_im")
+
+
 def scalar_fields(c: Scalar) -> dict:
-    return {"x_re": _frac_str(c.x_re), "x_im": _frac_str(c.x_im),
-            "y_re": _frac_str(c.y_re), "y_im": _frac_str(c.y_im)}
+    """The four components as "num/den" strings, each n_i/d reduced by one gcd; zero is "0/1"."""
+    *nums, d = c._v
+    return {name: f"{_digits(n // (g := gcd(n, d)))}/{_digits(d // g)}" if n else "0/1"
+            for name, n in zip(_FIELDS, nums)}
 
 
 def structured_terms(poly: NormalPoly) -> list:

@@ -10,14 +10,20 @@ It also builds Weyl-ordered monomials by the anticommutator recursion, which
 shares the NormalPoly product with brute but no code with the closed form,
 and holds the direct forms of two package sums: the eta sign sum over all
 n! permutations and the cg route as one converted bracket per binomial term.
+
+The closed-form slot and the coefficient renderers are written here on
+Fractions: one Fraction per slot, and one Fraction per component read
+through the `x_re ... y_im` properties.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
 
 from weylorder.altroutes import cg_weyl_monomial
+from weylorder.closedform import zeta_sum
 from weylorder.poly import ANNIHILATE, CREATE, P_POLY, Q, Q_POLY, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
+from weylorder.textio import _LATEX_SYMBOLS, _PLAIN_SYMBOLS, _digits, _frac_str
 
 HALF = Fraction(1, 2)
 I = Scalar(x_im=1)
@@ -178,3 +184,53 @@ def weyl_by_cg_monomials(j, k):
             c = comb(j, alpha) * comb(k, beta) * (-1) ** (k - beta)
             cg_weyl_monomial(alpha + k - beta, j - alpha + beta)._add_into(acc, Fraction(c))
     return NormalPoly(acc) * Scalar.weyl_unit(j, k)
+
+
+def h_by_fraction(j, k, u, v):
+    """h(j,k,u,v) as one Fraction u! C(n-u-v, u) C(u+v, u) zeta / 2^u, unit applied by weyl_unit.
+
+    The closed form slot by slot, with zeta from the alternating sum.
+    """
+    n = j + k
+    return Scalar.weyl_unit(j, k, Fraction(
+        factorial(u) * comb(n - u - v, u) * comb(u + v, u) * zeta_sum(j, k, u + v), 2 ** u))
+
+
+def _component_plain_by_fraction(f, symbol):
+    num = _digits(abs(f.numerator))
+    if symbol:
+        head = symbol if num == "1" else f"{num}*{symbol}"
+    else:
+        head = num
+    return head if f.denominator == 1 else f"{head}/{_digits(f.denominator)}"
+
+
+def _component_latex_by_fraction(f, symbol):
+    num = _digits(abs(f.numerator))
+    if symbol:
+        head = symbol if num == "1" else f"{num}{symbol}"
+    else:
+        head = num
+    if f.denominator == 1:
+        return head
+    return rf"\frac{{{head}}}{{{_digits(f.denominator)}}}"
+
+
+def scalar_text_by_fraction(c, latex):
+    """(magnitude_text, negated_for_display, is_bare_positive_integer), read through Fractions."""
+    symbols = _LATEX_SYMBOLS if latex else _PLAIN_SYMBOLS
+    fmt = _component_latex_by_fraction if latex else _component_plain_by_fraction
+    pieces = [(f, s) for f, s in zip((c.x_re, c.x_im, c.y_re, c.y_im), symbols) if f]
+    lead, symbol = pieces[0]
+    negated = lead.numerator < 0
+    if len(pieces) == 1:
+        return fmt(lead, symbol), negated, not symbol and lead.denominator == 1
+    body = fmt(lead, symbol)
+    for f, s in pieces[1:]:
+        body += (" - " if (f.numerator < 0) != negated else " + ") + fmt(f, s)
+    return body, negated, False
+
+
+def scalar_fields_by_fraction(c):
+    return {"x_re": _frac_str(c.x_re), "x_im": _frac_str(c.x_im),
+            "y_re": _frac_str(c.y_re), "y_im": _frac_str(c.y_im)}

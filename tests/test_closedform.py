@@ -13,7 +13,7 @@ from weylorder.poly import NormalPoly
 from weylorder.scalar import Scalar
 from weylorder.verify import run_checks
 
-from oracle import weyl_by_anticommutators, weyl_q_step
+from oracle import h_by_fraction, weyl_by_anticommutators, weyl_q_step
 
 
 def test_lambda_factor():
@@ -89,6 +89,20 @@ def test_one_pass_slots_match_h_coeff():
             for u, v, h in table:
                 assert h == h_coeff(j, k, u, v)
                 assert terms.get((degree - 2 * u - v, v), Scalar()) == h
+
+
+@pytest.mark.parametrize("pairs", [
+    [(j, n - j) for n in range(25) for j in range(n + 1)],
+    # odd n, and every value of k mod 4
+    [(40, 40), (0, 61), (61, 0), (30, 33)],
+], ids=["to-degree-24", "high-degree"])
+def test_slots_match_one_fraction_per_slot(pairs):
+    # the int numerators scaled once per row against one Fraction per slot, unit applied to each
+    for j, k in pairs:
+        for u, v, h in h_slots(j, k):
+            expected = h_by_fraction(j, k, u, v)
+            assert h == expected, (j, k, u, v)
+            assert h_coeff(j, k, u, v) == expected, (j, k, u, v)
 
 
 def test_closed_form_matches_cg_at_high_degree():

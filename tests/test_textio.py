@@ -10,8 +10,11 @@ from weylorder.closedform import weyl_normal_form
 from weylorder.enumeration import CapExceededError
 from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
-from weylorder.textio import (ParseError, SystemFormatError, load_system,
-                              parse_boson_word, render, system_from_obj)
+from weylorder.textio import (ParseError, SystemFormatError, _scalar_text, load_system,
+                              parse_boson_word, render, scalar_fields, system_from_obj)
+
+from oracle import scalar_fields_by_fraction, scalar_text_by_fraction
+from test_scalar import scalars
 
 
 def test_parse_boson_word_errors():
@@ -176,6 +179,28 @@ def test_render_sign_after_the_first_term():
         "ad^2 - (i/2 - sqrt2)"
     assert render(NormalPoly({**lead, (1, 0): Scalar(2, 0, 0, 1)})) == \
         "ad^2 + (2 + i*sqrt2) ad"
+
+
+def test_render_constant_bracket_beside_a_term():
+    # a constant of several components next to a nonconstant term: the bracketed
+    # constant branch, with components whose reductions by the common denominator differ
+    mixed = Scalar(Fraction(1, 6), Fraction(-1, 3), Fraction(1, 2), Fraction(5, 6))
+    poly = NormalPoly({(1, 1): Scalar(x_im=2), (0, 0): mixed})
+    assert render(poly) == "(2*i) ad a + (1/6 - i/3 + sqrt2/2 + 5*i*sqrt2/6)"
+    assert render(poly, "latex") == (
+        r"\left(2i\right)\hat{a}^{\dagger}\hat{a} + (\frac{1}{6} - \frac{i}{3} + \frac{\sqrt{2}}{2}"
+        r" + \frac{5i\sqrt{2}}{6})")
+    assert json.loads(render(poly, "structured"))["terms"][1] == {
+        "m": 0, "n": 0, "x_re": "1/6", "x_im": "-1/3", "y_re": "1/2", "y_im": "5/6"}
+
+
+@given(scalars)
+def test_scalar_renderers_match_fraction_renderers(c):
+    # the renderers read the stored ints; the oracle reads one Fraction per component
+    assert scalar_fields(c) == scalar_fields_by_fraction(c)
+    if c:
+        for latex in (False, True):
+            assert _scalar_text(c, latex) == scalar_text_by_fraction(c, latex)
 
 
 def test_render_structured():
