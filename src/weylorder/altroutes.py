@@ -3,16 +3,18 @@
 Route one converts the Weyl bracket of ladder-operator monomials directly to
 normal order.  Route two is the general boson-string normal-ordering formula
 built on prefix excesses and falling factorials; one forward-difference row
-per string gives all of its coefficients.
+per string, in ints, gives all of its coefficients: the k-th difference over
+k!, one division per coefficient, made when the Scalar is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import groupby
+from math import comb, factorial, perm
 
 from .poly import ANNIHILATE, CREATE, NormalPoly
-from .scalar import Scalar
+from .scalar import Scalar, _make
 
 
 def cg_weyl_monomial(m: int, n: int) -> NormalPoly:
@@ -70,36 +72,36 @@ class BosonString:
 
 def blockify(word) -> BosonString:
     """Convert a flat operator word (leftmost letter acts last) to block form."""
-    word = tuple(word)
-    pairs = []
-    i = 0
-    while i < len(word):
-        c = 0
-        while i < len(word) and word[i] == CREATE:
-            c += 1
-            i += 1
-        d = 0
-        while i < len(word) and word[i] == ANNIHILATE:
-            d += 1
-            i += 1
-        pairs.append((c, d))
+    pairs = []  # [ad run, a run], leftmost first
+    for letter, run in groupby(word):
+        count = sum(1 for _ in run)
+        if letter == CREATE:
+            pairs.append([count, 0])
+        elif letter != ANNIHILATE:
+            raise ValueError(f"not a boson letter: {letter!r}")
+        elif pairs:
+            pairs[-1][1] = count
+        else:
+            pairs.append([0, count])
     if not pairs:
-        pairs = [(0, 0)]
+        pairs = [[0, 0]]
     # the leftmost pair in the written word is the last block to act
     return BosonString(tuple(c for c, _ in reversed(pairs)),
                        tuple(d for _, d in reversed(pairs)))
 
 
 def falling(x: int, n: int) -> int:
-    """Falling factorial x(x-1)...(x-n+1); empty product for n = 0."""
-    out = 1
-    for i in range(n):
-        out *= x - i
-    return out
+    """Falling factorial x(x-1)...(x-n+1) for n >= 0; empty product for n = 0.
+
+    For x < 0 it is (-1)^n (-x)(-x+1)...(n-1-x) = (-1)^n perm(n-1-x, n).
+    """
+    if x >= 0:
+        return perm(x, n)
+    return -perm(n - 1 - x, n) if n % 2 else perm(n - 1 - x, n)
 
 
 def _blasiak_row(x: BosonString, hi: int) -> list:
-    """blasiak_coeff(x, k) for k = 0..hi, from one forward-difference table of P."""
+    """k! blasiak_coeff(x, k) for k = 0..hi: the forward differences of P at 0, in ints."""
     d = x.prefix_excess()
     row = []
     for j in range(hi + 1):
@@ -111,10 +113,6 @@ def _blasiak_row(x: BosonString, hi: int) -> list:
     for k in range(1, hi + 1):
         for i in range(hi, k - 1, -1):
             row[i] -= row[i - 1]
-    fact = 1
-    for k in range(hi + 1):
-        row[k] = Fraction(row[k], fact)
-        fact *= k + 1
     return row
 
 
@@ -126,27 +124,24 @@ def blasiak_coeff(x: BosonString, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _blasiak_row(x, k)[k]
+    return Fraction(_blasiak_row(x, k)[k], factorial(k))
 
 
 def blasiak_normal_order(x: BosonString) -> NormalPoly:
     """Normal-ordered equivalent of a boson string via the excess-split formula.
 
     Every coefficient comes from one forward-difference row per string (of
-    the adjoint string when d_M < 0).
+    the adjoint string when d_M < 0), divided by k! as its Scalar is built.
     """
     d_m = x.prefix_excess()[-1]
-    terms = {}
-    if d_m >= 0:
-        lo, hi = x.s[0], sum(x.s)
-        row = _blasiak_row(x, hi)
-        for k in range(lo, hi + 1):
-            terms[(d_m + k, k)] = Scalar.from_rational(row[k])
-    else:
+    if d_m < 0:
         # adjoint string: roles swapped and sequences reversed
-        adjoint = BosonString(x.s[::-1], x.r[::-1])
-        lo, hi = x.r[-1], sum(x.r)
-        row = _blasiak_row(adjoint, hi)
-        for k in range(lo, hi + 1):
-            terms[(k, -d_m + k)] = Scalar.from_rational(row[k])
-    return NormalPoly(terms)
+        x = BosonString(x.s[::-1], x.r[::-1])
+    lo, hi = x.s[0], sum(x.s)
+    row = _blasiak_row(x, hi)
+    terms = {}
+    fact = factorial(lo)
+    for k in range(lo, hi + 1):
+        terms[(d_m + k, k) if d_m >= 0 else (k, k - d_m)] = _make(row[k], 0, 0, 0, fact)
+        fact *= k + 1
+    return NormalPoly._of(terms)

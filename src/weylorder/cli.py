@@ -129,7 +129,7 @@ def cmd_normal_order(args) -> int:
     rewrite = normal_order_word(word)
     blasiak = blasiak_normal_order(blockify(word))
     if rewrite != blasiak:
-        print(f"error: rewrite and blasiak routes disagree on {args.expr!r}",
+        print(f"error: rewrite and blasiak routes disagree on {_echo(args.expr)!r}",
               file=sys.stderr)
         return EXIT_VERIFY
     poly = rewrite if args.route == "rewrite" else blasiak

@@ -122,7 +122,7 @@ def weyl_normal_form(j: int, k: int) -> NormalPoly:
     Slot (u, v) is the term ad^(j+k-2u-v) a^v, so every slot has its own key.
     """
     n = j + k
-    return NormalPoly({(n - 2 * u - v, v): h for u, v, h in h_slots(j, k)})
+    return NormalPoly._of({(n - 2 * u - v, v): h for u, v, h in h_slots(j, k)})
 
 
 @dataclass

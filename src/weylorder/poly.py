@@ -3,14 +3,17 @@
 A NormalPoly is a finite mapping (m, n) -> Scalar standing for
 sum_{m,n} c_mn ad^m a^n, the universal output form of the package.
 `normal_order_word` is the ground-truth route: it applies a ad = ad a + 1
-one letter at a time, right to left, and memoizes whole words.
+one letter at a time, right to left, and memoizes whole words.  The normal
+form of a suffix is kept as one int per contraction count k, since its terms
+are ad^(ads-k) a^(annihilators-k) for the suffix's letter counts: an ad letter
+only counts, and an a letter steps the list once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
 
-from .scalar import Scalar, _coerce
+from .scalar import Scalar, _coerce, _make
 
 CREATE = "ad"
 ANNIHILATE = "a"
@@ -36,6 +39,13 @@ class NormalPoly:
     @classmethod
     def one(cls) -> "NormalPoly":
         return cls({(0, 0): 1})
+
+    @classmethod
+    def _of(cls, terms: dict) -> "NormalPoly":
+        """A NormalPoly from Scalars under nonnegative keys, unchecked; zero terms are pruned."""
+        self = object.__new__(cls)
+        self._terms = {key: coeff for key, coeff in terms.items() if coeff}
+        return self
 
     # -- access ------------------------------------------------------------
 
@@ -64,9 +74,11 @@ class NormalPoly:
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "NormalPoly") -> "NormalPoly":
+        if not isinstance(other, NormalPoly):
+            return NotImplemented
         acc = dict(self._terms)
         other._add_into(acc)
-        return NormalPoly(acc)
+        return NormalPoly._of(acc)
 
     def _add_into(self, acc: dict, factor: Fraction | int | None = None) -> None:
         """Add self, times an optional rational factor, into the term dict acc in place.
@@ -81,9 +93,11 @@ class NormalPoly:
             acc[key] = coeff if prev is None else prev + coeff
 
     def __neg__(self) -> "NormalPoly":
-        return NormalPoly({key: -coeff for key, coeff in self._terms.items()})
+        return NormalPoly._of({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other: "NormalPoly") -> "NormalPoly":
+        if not isinstance(other, NormalPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -96,7 +110,7 @@ class NormalPoly:
 
     def scale(self, value) -> "NormalPoly":
         value = _coerce(value)
-        return NormalPoly({key: coeff * value for key, coeff in self._terms.items()})
+        return NormalPoly._of({key: coeff * value for key, coeff in self._terms.items()})
 
     def _np_mul(self, other: "NormalPoly") -> "NormalPoly":
         # ad^m1 a^n1 * ad^m2 a^n2: reorder the inner a^n1 ad^m2 via
@@ -111,11 +125,11 @@ class NormalPoly:
                     term = c if w == 1 else c._times_rational(w)
                     prev = acc.get(key)
                     acc[key] = term if prev is None else prev + term
-        return NormalPoly(acc)
+        return NormalPoly._of(acc)
 
     def adjoint(self) -> "NormalPoly":
         """Hermitian conjugate: (m, n) with c goes to (n, m) with conj(c)."""
-        return NormalPoly({(n, m): c.conj() for (m, n), c in self._terms.items()})
+        return NormalPoly._of({(n, m): c.conj() for (m, n), c in self._terms.items()})
 
 
 # -- word rewriting --------------------------------------------------------
@@ -128,21 +142,28 @@ def _normal_order_int(word: tuple) -> dict:
 
     The letters act right to left on the normal form of the suffix:
     ad . ad^m a^n = ad^(m+1) a^n, and a . ad^m a^n = ad^m a^(n+1) + m ad^(m-1) a^n,
-    which is a ad -> ad a + 1 applied m times.  No coefficient cancels: all are positive.
+    which is a ad -> ad a + 1 applied m times.  With `ads` and `annihilators`
+    letters read so far, the suffix's term with k contractions is
+    coeffs[k] ad^(ads-k) a^(annihilators-k); an a keeps each term's k and adds
+    (ads - k) coeffs[k] at k + 1.  No coefficient cancels: all are positive, so
+    the only zero a step makes is a trailing one, at k = ads.
     """
     if word in _NO_CACHE:
         return _NO_CACHE[word]
-    terms = {(0, 0): 1}
+    coeffs = [1]
+    ads = annihilators = 0
     for letter in reversed(word):
         if letter == CREATE:
-            terms = {(m + 1, n): c for (m, n), c in terms.items()}
+            ads += 1
         else:
-            step: dict = {}
-            for (m, n), c in terms.items():
-                step[m, n + 1] = step.get((m, n + 1), 0) + c
-                if m:
-                    step[m - 1, n] = step.get((m - 1, n), 0) + m * c
-            terms = step
+            step = coeffs + [0]
+            for k, c in enumerate(coeffs):
+                step[k + 1] += (ads - k) * c
+            if not step[-1]:
+                step.pop()
+            coeffs = step
+            annihilators += 1
+    terms = {(ads - k, annihilators - k): c for k, c in enumerate(coeffs)}
     _NO_CACHE[word] = terms
     return terms
 
@@ -153,7 +174,8 @@ def normal_order_word(word) -> NormalPoly:
     for letter in word:
         if letter not in (CREATE, ANNIHILATE):
             raise ValueError(f"not a boson letter: {letter!r}")
-    return NormalPoly(_normal_order_int(word))
+    return NormalPoly._of({key: _make(c, 0, 0, 0, 1)
+                           for key, c in _normal_order_int(word).items()})
 
 
 # -- q/p words -------------------------------------------------------------

@@ -57,7 +57,7 @@ def quantize_side(side) -> NormalPoly:
     acc: dict = {}
     for (j, k), coeff in _clean_side(side, "side").items():
         weyl_normal_form(j, k)._add_into(acc, coeff)
-    return NormalPoly(acc)
+    return NormalPoly._of(acc)
 
 
 def quantize_system(system: PolySystem) -> ExpectedDynamics:

@@ -14,6 +14,10 @@ n! permutations and the cg route as one converted bracket per binomial term.
 The closed-form slot and the coefficient renderers are written here on
 Fractions: one Fraction per slot, and one Fraction per component read
 through the `x_re ... y_im` properties.
+
+The boson-word helpers keep their loop forms: the rewrite that rebuilds the
+{(m, n): c} dict at every letter, the index loop that reads a word's runs
+into blocks, and the falling factorial as a product.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -101,6 +105,48 @@ def same_poly(a, b):
     a = a + [Scalar()] * (length - len(a))
     b = b + [Scalar()] * (length - len(b))
     return a == b
+
+
+def normal_order_by_dict_steps(word):
+    """{(m, n): c} of a boson word, the dict of the suffix rebuilt at every letter."""
+    terms = {(0, 0): 1}
+    for letter in reversed(word):
+        if letter == CREATE:
+            terms = {(m + 1, n): c for (m, n), c in terms.items()}
+        else:
+            step = {}
+            for (m, n), c in terms.items():
+                step[m, n + 1] = step.get((m, n + 1), 0) + c
+                if m:
+                    step[m - 1, n] = step.get((m - 1, n), 0) + m * c
+            terms = step
+    return terms
+
+
+def blocks_by_index_loop(word):
+    """(r, s) of blockify, read one letter at a time: each pair is an ad run, then an a run."""
+    pairs = []
+    i = 0
+    while i < len(word):
+        c = 0
+        while i < len(word) and word[i] == CREATE:
+            c += 1
+            i += 1
+        d = 0
+        while i < len(word) and word[i] == ANNIHILATE:
+            d += 1
+            i += 1
+        pairs.append((c, d))
+    if not pairs:
+        pairs = [(0, 0)]
+    return (tuple(c for c, _ in reversed(pairs)), tuple(d for _, d in reversed(pairs)))
+
+
+def falling_by_product(x, n):
+    out = 1
+    for i in range(n):
+        out *= x - i
+    return out
 
 
 def blasiak_coeff_sum(x, k):

@@ -11,7 +11,8 @@ from weylorder.enumeration import weyl_bruteforce
 from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
 
-from oracle import blasiak_coeff_sum, weyl_by_cg_monomials
+from oracle import (blasiak_coeff_sum, blocks_by_index_loop, falling_by_product,
+                    weyl_by_cg_monomials)
 
 
 def test_falling_factorial():
@@ -19,6 +20,9 @@ def test_falling_factorial():
     assert falling(5, 2) == 20
     assert falling(2, 3) == 0  # vanishes at nonnegative x < n
     assert falling(-1, 2) == 2
+    for x in range(-12, 13):
+        for n in range(9):
+            assert falling(x, n) == falling_by_product(x, n), (x, n)
 
 
 def test_cg_monomial_examples():
@@ -57,6 +61,11 @@ def test_blockify():
     assert bs == BosonString((1, 0), (0, 1))
     assert blockify(()) == BosonString((0,), (0,))
     assert blockify((CREATE, ANNIHILATE, ANNIHILATE)) == BosonString((1,), (2,))
+    for length in range(11):
+        for word in product((CREATE, ANNIHILATE), repeat=length):
+            assert blockify(word) == BosonString(*blocks_by_index_loop(word)), word
+    with pytest.raises(ValueError, match="not a boson letter"):
+        blockify((CREATE, "q", ANNIHILATE))
 
 
 def test_blasiak_coeff_examples():

@@ -205,6 +205,19 @@ def test_normal_order_letter_cap(capsys):
     assert (code, out) == (0, f"ad^{MAX_WORD_LETTERS}\n")
 
 
+def test_normal_order_routes_disagree(capsys, monkeypatch):
+    # the guard between the two routes: exit 1, nothing on stdout, the word echoed short
+    from weylorder import cli
+    from weylorder.poly import NormalPoly
+
+    monkeypatch.setattr(cli, "blasiak_normal_order", lambda string: NormalPoly({(0, 0): 2}))
+    for expr in ("a ad", " ".join(["ad"] * (MAX_WORD_LETTERS - 1) + ["a"])):
+        code, out, err = run(capsys, "normal-order", expr)
+        assert (code, out) == (1, "")
+        assert "routes disagree" in err
+        assert len(err) < 100
+
+
 def test_long_argument_echo_is_truncated(capsys):
     # a rejected argument is echoed by its first characters only, and a message is cut too
     for argv in (["weyl", "9" * 5000, "1"], ["weyl", "x" * 300, "1"],

@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from weylorder.altroutes import blasiak_normal_order, blockify
 from weylorder.poly import (_NO_CACHE, ANNIHILATE, CREATE, P, Q, NormalPoly,
-                            expand_qp_word, normal_order_word)
+                            _normal_order_int, expand_qp_word, normal_order_word)
 from weylorder.scalar import Scalar
 
 from oracle import (A_POLY, AD_POLY, I, apply_boson_word, apply_normal_poly, apply_qp_word,
-                    same_poly, unit)
+                    normal_order_by_dict_steps, same_poly, unit)
 
 I_HALF = Scalar(x_im=Fraction(1, 2))
 
@@ -22,6 +22,12 @@ def test_np_add():
     g = NormalPoly({(2, 0): I_HALF}) + NormalPoly({(0, 2): -I_HALF})
     assert len(g) == 2
     assert f + NormalPoly() == f
+
+
+def test_np_add_rejects_a_number():
+    for op in (lambda f: f + 3, lambda f: f - 3):
+        with pytest.raises(TypeError):
+            op(NormalPoly.one())
 
 
 def test_np_mul_single_commutator():
@@ -64,6 +70,16 @@ def test_normal_order_word_against_differential_oracle(length):
 @given(st.lists(st.sampled_from((CREATE, ANNIHILATE)), max_size=40))
 def test_normal_order_word_equals_blasiak(word):
     assert normal_order_word(word) == blasiak_normal_order(blockify(word))
+
+
+def test_rewrite_matches_dict_steps():
+    a, ad = (ANNIHILATE,), (CREATE,)
+    words = [word for length in range(11) for word in product((CREATE, ANNIHILATE), repeat=length)]
+    words += [a * big + ad for big in (1000, 2200)] + [a + ad * big for big in (1000, 2200)]
+    words += [a * n + ad * n for n in range(31)]
+    for word in words:
+        _NO_CACHE.pop(word, None)
+        assert _normal_order_int(word) == normal_order_by_dict_steps(word), word
 
 
 def test_rewrite_memo_holds_whole_words_only():
