@@ -111,7 +111,11 @@ class Scalar:
 
     def __mul__(self, other) -> "Scalar":
         if other.__class__ is not Scalar:
-            return self._times_rational(_frac(other))
+            try:
+                r = _frac(other)
+            except TypeError:  # not a rational: a NormalPoly scales by its __rmul__
+                return NotImplemented
+            return self._times_rational(r)
         a0, a1, a2, a3, da = self._v
         b0, b1, b2, b3, db = other._v
         # (x_a + y_a sqrt2)(x_b + y_b sqrt2) with Gaussian x, y:

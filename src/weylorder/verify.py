@@ -1,4 +1,11 @@
-"""Cross-method verification sweep used by the `check` subcommand and tests."""
+"""Cross-method verification sweep used by the `check` subcommand and tests.
+
+`run_checks` is one table.  Each row is `(name, witness_at, cases)`:
+`cases` lists the argument tuples the check sweeps, and `witness_at(*case)`
+returns the witness string for that case, or None when it passes.  One loop
+runs every row and stops it at its first failing case; the row still reports
+its full case count and that first witness.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -41,68 +48,52 @@ def run_checks(max_degree: int = 6, eta_cap: int = ETA_CAP) -> CheckReport:
     shared by the checks that read it.
     """
     closed_at, brute_at = cache(weyl_normal_form), cache(weyl_bruteforce)
-    report = CheckReport()
-    pairs = list(_degree_pairs(max_degree))
-    witness = ""
-    for j, k in pairs:
-        closed = closed_at(j, k)
-        brute = brute_at(j, k)
-        cg = weyl_via_cg(j, k)
+
+    def routes(j, k):
+        closed, brute = closed_at(j, k), brute_at(j, k)
         if closed != brute:
-            witness = f"closed != brute at (j={j}, k={k}): {closed!r} vs {brute!r}"
-        elif closed != cg:
-            witness = f"closed != cg at (j={j}, k={k}): {closed!r} vs {cg!r}"
-        if witness:
-            break
-    report.results.append(CheckResult("route-equality(closed,brute,cg)",
-                                      len(pairs), not witness, witness))
+            return f"closed != brute at (j={j}, k={k}): {closed!r} vs {brute!r}"
+        cg = weyl_via_cg(j, k)
+        return None if closed == cg else f"closed != cg at (j={j}, k={k}): {closed!r} vs {cg!r}"
 
-    witness = ""
-    for j, k in pairs:
-        if weyl_forced(j, k) != brute_at(j, k):
-            witness = f"forced != brute at (j={j}, k={k})"
-            break
-    report.results.append(CheckResult("forced-vs-brute", len(pairs), not witness, witness))
+    def forced(j, k):
+        return (None if weyl_forced(j, k) == brute_at(j, k)
+                else f"forced != brute at (j={j}, k={k})")
 
-    eta_pairs = [p for p in pairs if p[0] + p[1] <= eta_cap]
-    cases = 0
-    witness = ""
-    for j, k in eta_pairs:
-        for u, v in slots(j + k):
-            cases += 1
-            check = eta_decomposition_check(j, k, u, v, cap=eta_cap)
-            if not check.matches and not witness:
-                witness = (f"eta decomposition fails at (j={j}, k={k}, u={u}, v={v}): "
-                           f"{check.symbolic_sum} vs "
-                           f"{check.lambda_value * check.xi_value * check.zeta_value}")
-    report.results.append(CheckResult("eta-decomposition", cases, not witness, witness))
+    def eta(j, k, u, v):
+        check = eta_decomposition_check(j, k, u, v, cap=eta_cap)
+        return None if check.matches else (
+            f"eta decomposition fails at (j={j}, k={k}, u={u}, v={v}): "
+            f"{check.symbolic_sum} vs {check.lambda_value * check.xi_value * check.zeta_value}")
 
-    cases = 0
-    witness = ""
-    for j, k in pairs:
-        for t in range(j + k + 3):
-            cases += 1
-            values = {zeta_sum(j, k, t), zeta_poly(j, k, t),
-                      zeta_gamma(j, k, t), zeta_range(j, k, t)}
-            if len(values) != 1 and not witness:
-                witness = f"zeta variants disagree at (j={j}, k={k}, t={t}): {values}"
-    report.results.append(CheckResult("zeta-agreement", cases, not witness, witness))
+    def zeta(j, k, t):
+        values = {zeta_sum(j, k, t), zeta_poly(j, k, t), zeta_gamma(j, k, t), zeta_range(j, k, t)}
+        return (None if len(values) == 1
+                else f"zeta variants disagree at (j={j}, k={k}, t={t}): {values}")
 
-    witness = ""
-    for j, k in pairs:
+    def symmetry(j, k):
         sym = symmetry_report(j, k)
-        if not sym.ok and not witness:
-            kind, u, v, lhs, rhs = sym.failures[0]
-            witness = f"{kind} symmetry fails at (j={j}, k={k}, u={u}, v={v}): {lhs!r} vs {rhs!r}"
-    report.results.append(CheckResult("coefficient-symmetries", len(pairs),
-                                      not witness, witness))
+        if sym.ok:
+            return None
+        kind, u, v, lhs, rhs = sym.failures[0]
+        return f"{kind} symmetry fails at (j={j}, k={k}, u={u}, v={v}): {lhs!r} vs {rhs!r}"
 
-    witness = ""
-    for j, k in pairs:
+    def hermitian(j, k):
         closed = closed_at(j, k)
-        if closed.adjoint() != closed:
-            witness = f"not self-adjoint at (j={j}, k={k})"
-            break
-    report.results.append(CheckResult("hermiticity", len(pairs), not witness, witness))
+        return None if closed.adjoint() == closed else f"not self-adjoint at (j={j}, k={k})"
 
+    pairs = list(_degree_pairs(max_degree))
+    table = (
+        ("route-equality(closed,brute,cg)", routes, pairs),
+        ("forced-vs-brute", forced, pairs),
+        ("eta-decomposition", eta,
+         [(j, k, u, v) for j, k in pairs if j + k <= eta_cap for u, v in slots(j + k)]),
+        ("zeta-agreement", zeta, [(j, k, t) for j, k in pairs for t in range(j + k + 3)]),
+        ("coefficient-symmetries", symmetry, pairs),
+        ("hermiticity", hermitian, pairs),
+    )
+    report = CheckReport()
+    for name, witness_at, cases in table:
+        witness = next(filter(None, (witness_at(*case) for case in cases)), "")
+        report.results.append(CheckResult(name, len(cases), not witness, witness))
     return report

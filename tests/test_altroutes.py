@@ -48,14 +48,6 @@ def test_weyl_via_cg_examples():
         {(2, 0): -half, (1, 1): 1, (0, 2): -half, (0, 0): half})
 
 
-def test_weyl_via_cg_matches_other_routes():
-    for degree in range(9):
-        for j in range(degree + 1):
-            k = degree - j
-            assert weyl_via_cg(j, k) == weyl_normal_form(j, k)
-            assert weyl_via_cg(j, k) == weyl_bruteforce(j, k)
-
-
 def test_blockify():
     bs = blockify((ANNIHILATE, CREATE))
     assert bs == BosonString((1, 0), (0, 1))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from weylorder.altroutes import weyl_via_cg
 from weylorder.cli import MAX_DEGREE, MAX_WORD_LETTERS, build_parser, main
+from weylorder.poly import NormalPoly
+from weylorder.scalar import Scalar
 from weylorder.textio import render
 
 
@@ -208,7 +211,6 @@ def test_normal_order_letter_cap(capsys):
 def test_normal_order_routes_disagree(capsys, monkeypatch):
     # the guard between the two routes: exit 1, nothing on stdout, the word echoed short
     from weylorder import cli
-    from weylorder.poly import NormalPoly
 
     monkeypatch.setattr(cli, "blasiak_normal_order", lambda string: NormalPoly({(0, 0): 2}))
     for expr in ("a ad", " ".join(["ad"] * (MAX_WORD_LETTERS - 1) + ["a"])):
@@ -327,7 +329,6 @@ def test_check_trivial(capsys):
 def test_check_corrupted_table_hook(monkeypatch):
     from weylorder import verify
     from weylorder.closedform import weyl_normal_form
-    from weylorder.poly import NormalPoly
 
     def corrupted(j, k):
         terms = dict(weyl_normal_form(j, k).items())
@@ -348,7 +349,6 @@ def test_check_computes_each_route_once_per_pair(monkeypatch):
     from weylorder import verify
     from weylorder.closedform import weyl_normal_form
     from weylorder.enumeration import weyl_bruteforce
-    from weylorder.poly import NormalPoly
 
     calls = Counter()
 
@@ -375,6 +375,75 @@ def test_check_computes_each_route_once_per_pair(monkeypatch):
         assert {(j, k) for name, j, k in calls if name == "brute"} == set(pairs)
         forced = report.results[1]
         assert forced.passed and forced.cases == len(pairs)
+
+
+def corrupt_at(monkeypatch, name, bad, corrupt):
+    """Make `verify.<name>` return `corrupt(value)` at the arguments `bad`; return its call log."""
+    from weylorder import verify
+
+    real = getattr(verify, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(args)
+        value = real(*args, **kwargs)
+        return corrupt(value) if args == bad else value
+
+    monkeypatch.setattr(verify, name, patched)
+    return calls
+
+
+# the `check --max 3` lines, in order, before their status
+CHECK_MAX_3 = ("route-equality(closed,brute,cg): 10 cases", "forced-vs-brute: 10 cases",
+               "eta-decomposition: 41 cases", "zeta-agreement: 50 cases",
+               "coefficient-symmetries: 10 cases", "hermiticity: 10 cases")
+
+# patched name, failing arguments, corruption, {check index: witness}
+FAILING_CHECKS = [
+    ("weyl_via_cg", (1, 0), lambda poly: poly + NormalPoly.one(), {0: (
+        "closed != cg at (j=1, k=0): "
+        "NormalPoly({(1,0): Scalar(0, 0i, 1/2r2, 0ir2), (0,1): Scalar(0, 0i, 1/2r2, 0ir2)}) vs "
+        "NormalPoly({(1,0): Scalar(0, 0i, 1/2r2, 0ir2), (0,1): Scalar(0, 0i, 1/2r2, 0ir2), "
+        "(0,0): Scalar(1, 0i, 0r2, 0ir2)})")}),
+    ("weyl_forced", (2, 1), lambda poly: poly + NormalPoly.one(),
+     {1: "forced != brute at (j=2, k=1)"}),
+    ("eta_decomposition_check", (1, 1, 0, 1),
+     lambda check: replace(check, symbolic_sum=check.symbolic_sum + 1),
+     {2: "eta decomposition fails at (j=1, k=1, u=0, v=1): 1 vs 0"}),
+    ("zeta_gamma", (2, 1, 2), lambda zeta: zeta + 1,
+     {3: "zeta variants disagree at (j=2, k=1, t=2): {0, -1}"}),
+    ("symmetry_report", (1, 2),
+     lambda report: replace(report, pair_rule_ok=False,
+                            failures=[("pair", 0, 1, Scalar(1), Scalar(-1))]), {4: (
+        "pair symmetry fails at (j=1, k=2, u=0, v=1): "
+        "Scalar(1, 0i, 0r2, 0ir2) vs Scalar(-1, 0i, 0r2, 0ir2)")}),
+    ("weyl_normal_form", (1, 1), lambda poly: poly + NormalPoly({(2, 0): 1}), {0: (
+        "closed != brute at (j=1, k=1): "
+        "NormalPoly({(2,0): Scalar(1, 1/2i, 0r2, 0ir2), (0,2): Scalar(0, -1/2i, 0r2, 0ir2)}) vs "
+        "NormalPoly({(2,0): Scalar(0, 1/2i, 0r2, 0ir2), (0,2): Scalar(0, -1/2i, 0r2, 0ir2)})"),
+        5: "not self-adjoint at (j=1, k=1)"}),
+]
+
+
+@pytest.mark.parametrize("name, bad, corrupt, witnesses", FAILING_CHECKS,
+                         ids=[case[0] for case in FAILING_CHECKS])
+def test_check_failure_output(capsys, monkeypatch, name, bad, corrupt, witnesses):
+    # one corrupted case per check: each failing check prints its full case count and first witness
+    corrupt_at(monkeypatch, name, bad, corrupt)
+    expected = "".join(f"{line} FAIL\n  witness: {witnesses[index]}\n" if index in witnesses
+                       else f"{line} ok\n" for index, line in enumerate(CHECK_MAX_3))
+    assert run(capsys, "check", "--max", "3")[:2] == (1, expected + "verification FAILED\n")
+
+
+@pytest.mark.parametrize("name, bad, corrupt",
+                         [case[:3] for case in FAILING_CHECKS if case[0] in
+                          ("eta_decomposition_check", "zeta_gamma", "symmetry_report")],
+                         ids=["eta", "zeta", "symmetry"])
+def test_check_stops_at_first_failure(capsys, monkeypatch, name, bad, corrupt):
+    # the failing case is the last one the check computes
+    calls = corrupt_at(monkeypatch, name, bad, corrupt)
+    assert run(capsys, "check", "--max", "3")[0] == 1
+    assert calls[-1] == bad and calls.count(bad) == 1
 
 
 def fresh_process(*argv):

@@ -30,6 +30,13 @@ def test_np_add_rejects_a_number():
             op(NormalPoly.one())
 
 
+def test_scalar_times_poly_commutes():
+    p = NormalPoly({(2, 1): Fraction(1, 3), (0, 0): Scalar(0, 1)})
+    for s in (Scalar(1), Scalar(0), Scalar(-2, 1, Fraction(1, 2)), Scalar(0, 0, 0, 3)):
+        assert s * p == p * s
+    assert Scalar(1) * NormalPoly.one() == NormalPoly.one()
+
+
 def test_np_mul_single_commutator():
     a, ad = A_POLY, AD_POLY
     assert a * ad == NormalPoly({(1, 1): 1, (0, 0): 1})
