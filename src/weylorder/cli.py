@@ -3,6 +3,13 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 cap exceeded.  Results go to stdout; the human-format header lines go to
 stderr so that stdout bytes are identical across equivalent methods.
+
+`build_parser` holds the one grammar.  An argv of the plain form
+`COMMAND POSITIONAL... (--OPTION VALUE)...` is parsed by `_quick_args`, which
+reads that grammar off the built parser and returns the Namespace parse_args
+would; every other argv (help, abbreviations, `--opt=value`, a token that
+starts with `-`, a bad value) goes to argparse, the authority on help text
+and usage errors.
 """
 from __future__ import annotations
 
@@ -109,6 +116,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _grammar() -> dict:
+    """Per command: its positional actions, its options by exact string, and the defaults.
+
+    Read once per process off `build_parser()`.  The help action's default is
+    SUPPRESS, so `-h` is left out and falls back to argparse; so does every
+    command with an action other than a one-value store (a flag, an append, a
+    required option).
+    """
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    grammar = {}
+    for name, sub in commands.choices.items():
+        actions = [a for a in sub._actions if a.default is not argparse.SUPPRESS]
+        if all(type(a) is argparse._StoreAction and a.nargs is None
+               and a.required != bool(a.option_strings) for a in actions):
+            grammar[name] = ([a for a in actions if not a.option_strings],
+                             {s: a for a in actions for s in a.option_strings},
+                             {commands.dest: name,
+                              **{a.dest: a.default for a in actions if a.option_strings}})
+    return grammar
+
+
+def _quick_args(argv):
+    """The Namespace parse_args returns for a plain argv, or None to leave argv to argparse.
+
+    Plain is `COMMAND POSITIONAL... (--OPTION VALUE)...`: each option string an
+    exact match, no positional or value that starts with `-`, each value taken
+    by its action's type and inside its choices.  The last of a repeated option wins.
+    """
+    plan = _grammar().get(argv[0]) if argv else None
+    if plan is None:
+        return None
+    positionals, options, defaults = plan
+    count = len(positionals) + 1
+    if len(argv) < count or (len(argv) - count) % 2:
+        return None
+    values = dict(defaults)
+    slots = [*zip(positionals, argv[1:count]),
+             *((options.get(option), token)
+               for option, token in zip(argv[count::2], argv[count + 1::2]))]
+    for action, token in slots:
+        if action is None or token.startswith("-"):
+            return None
+        value = token
+        if action.type is not None:
+            try:
+                value = action.type(token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def cmd_weyl(args) -> int:
     _check_degree("weyl", args.j + args.k)
     poly = {"closed": weyl_normal_form, "brute": weyl_bruteforce, "forced": weyl_forced,
@@ -204,11 +267,14 @@ def cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _quick_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     handler = {
         "weyl": cmd_weyl,
         "normal-order": cmd_normal_order,

@@ -31,7 +31,8 @@ class NormalPoly:
         for (m, n), coeff in (terms or {}).items():
             if m < 0 or n < 0:
                 raise ValueError(f"negative operator power in term ({m}, {n})")
-            coeff = _coerce(coeff)
+            if coeff.__class__ is not Scalar:  # an int, Fraction or str, parsed here
+                coeff = Scalar.from_rational(coeff)
             if coeff:
                 clean[(m, n)] = coeff
         self._terms = clean

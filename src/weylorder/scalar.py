@@ -11,11 +11,13 @@ there is no approximate mode.
 
 The constructor `Scalar(...)` validates: each component goes through
 `_frac`, so an int, str or other exact rational is converted and a float or
-bool raises `TypeError`.  Every ring operation builds its result through
-`_make`.  The components read back through the properties `x_re`, `x_im`,
-`y_re` and `y_im` as `Fraction`s; the renderers in `textio` skip them, and
-read the stored ints, reducing each component n_i/d by one gcd.  A `Scalar`
-is immutable and hashes by its reduced form.
+bool raises `TypeError`.  Text is parsed there and in `from_rational` only: a
+ring operator given a str raises `TypeError`, as it does a float.  Every ring
+operation builds its result through `_make`.  The components read back
+through the properties `x_re`, `x_im`, `y_re` and `y_im` as `Fraction`s; the
+renderers in `textio` skip them, and read the stored ints, reducing each
+component n_i/d by one gcd.  A `Scalar` is immutable and hashes by its
+reduced form.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from numbers import Rational
 
 _ZERO = Fraction(0)
 _new = object.__new__
+_TEXT_OPERAND = "a str is not a ring operand; parse it with Scalar(...) first"
 
 
 def _frac(value) -> Fraction:
@@ -111,6 +114,8 @@ class Scalar:
 
     def __mul__(self, other) -> "Scalar":
         if other.__class__ is not Scalar:
+            if isinstance(other, str):
+                raise TypeError(_TEXT_OPERAND)
             try:
                 r = _frac(other)
             except TypeError:  # not a rational: a NormalPoly scales by its __rmul__
@@ -182,6 +187,9 @@ def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> Scalar:
 
 
 def _coerce(value) -> Scalar:
+    """A ring operand as a Scalar: a Scalar, or an exact rational that is not text."""
     if isinstance(value, Scalar):
         return value
+    if isinstance(value, str):
+        raise TypeError(_TEXT_OPERAND)
     return Scalar.from_rational(value)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weylorder.altroutes import weyl_via_cg
-from weylorder.cli import MAX_DEGREE, MAX_WORD_LETTERS, build_parser, main
+from weylorder.cli import MAX_DEGREE, MAX_WORD_LETTERS, _quick_args, build_parser, main
 from weylorder.poly import NormalPoly
 from weylorder.scalar import Scalar
 from weylorder.textio import render
@@ -454,13 +454,32 @@ def fresh_process(*argv):
     return done.returncode, done.stdout
 
 
-def test_cached_parser_matches_fresh_process(capsys):
+def test_cached_parser_matches_fresh_process(capsys, monkeypatch):
+    # help text wraps at the terminal width, which COLUMNS fixes in both processes
+    monkeypatch.setenv("COLUMNS", "80")
     assert build_parser() is build_parser()
+    # argparse accepts these three, and the fast lane leaves them to it
+    declined = (["weyl", "3", "2", "--form", "latex"], ["weyl", "--method", "cg", "3", "2"],
+                ["weyl", "3", "2", "--format=latex"])
+    assert [_quick_args(argv) for argv in declined] == [None] * 3
     sequence = (["weyl", "3", "2", "--format", "latex"], ["weyl", "3", "2"],
-                ["weyl", "3", "2", "--method", "nope"], ["weyl", "3", "2"])
+                ["weyl", "3", "2", "--method", "nope"], ["weyl", "3", "2"], *declined,
+                ["weyl", "--help"])
     in_process = [run(capsys, *argv)[:2] for argv in sequence]
     assert in_process == [fresh_process(*argv) for argv in sequence]
-    assert [code for code, _ in in_process] == [0, 0, 2, 0]
+    assert [code for code, _ in in_process] == [0, 0, 2, 0, 0, 0, 0, 0]
+    assert in_process[4] == in_process[6] == in_process[0]
+    assert in_process[-1][1].startswith("usage: weylorder weyl")
+
+
+def test_plain_argv_takes_the_fast_lane():
+    # the form of every benchmark request: parsed without argparse, to the same Namespace
+    for argv in (["normal-order", "a^2 ad", "--route", "blasiak"],
+                 ["weyl", "3", "2", "--method", "closed", "--format", "latex"],
+                 ["quantize", "system.json", "--format", "structured"], ["check", "--max", "4"],
+                 ["coeffs", "1", "1"]):
+        quick = _quick_args(argv)
+        assert quick is not None and quick == build_parser().parse_args(argv)
 
 
 def test_usage_error_exit_code(capsys):
@@ -522,3 +541,35 @@ def test_every_argv_honours_the_exit_codes(systems_dir, argv):
         assert main(argv) in (0, 1, 2, 3)
     # no message echoes a long argument whole
     assert all(len(line) < 200 for line in err.getvalue().splitlines())
+
+
+# the positional count and the options of each command, to draw plain argv from
+PLAIN = {"weyl": (2, ["--method", "--format"]), "normal-order": (1, ["--route", "--format"]),
+         "coeffs": (2, ["--which", "--format"]), "quantize": (1, ["--format"]),
+         "check": (0, ["--max", "--eta-cap"])}
+
+
+@st.composite
+def plain_argvs(draw):
+    """COMMAND POSITIONAL... (--OPTION VALUE)... with the command's own options."""
+    command = draw(st.sampled_from(list(PLAIN)))
+    count, options = PLAIN[command]
+    numbers = st.one_of(st.integers(0, 50).map(str), st.sampled_from(INTS))
+    tokens = st.text(max_size=6) if command in POSITIONALS else numbers
+    argv = [command] + [draw(tokens) for _ in range(count)]
+    for option in draw(st.lists(st.sampled_from(options), max_size=3)):
+        argv += [option, draw(st.sampled_from(OPTIONS[option]) if OPTIONS[option] else numbers)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(argvs(), plain_argvs()))
+@example(argv=["weyl", "\u0663", "1_0"])
+@example(argv=["coeffs", " 4", "0", "--which", "zeta"])
+@example(argv=["normal-order", ""])
+@example(argv=["weyl", "-1", "2"])
+@example(argv=["normal-order", "-a"])
+@example(argv=["weyl", "1", "1", "--format", "latex", "--format", "plain"])
+def test_fast_lane_matches_argparse(argv):
+    quick = _quick_args(argv)
+    assert quick is None or quick == build_parser().parse_args(argv)

@@ -214,3 +214,17 @@ def test_mul_rejects_float_and_bool():
             bad * SQRT2
         with pytest.raises(TypeError):
             rational(1, 2) * bad
+
+
+def test_operators_reject_text():
+    # text is parsed by the constructors only; each of these used to parse its str silently
+    from weylorder.poly import NormalPoly
+
+    operations = (lambda: Scalar(1) * "1/2", lambda: "1/2" * Scalar(1),
+                  lambda: Scalar(1) + "1/2", lambda: Scalar(1) - "1",
+                  lambda: "1" - Scalar(3), lambda: NormalPoly.one() * "3")
+    for operation in operations:
+        with pytest.raises(TypeError, match="not a ring operand"):
+            operation()
+    assert Scalar("1/2") == Scalar.from_rational("1/2") == rational(1, 2)
+    assert NormalPoly({(0, 0): "3"}) == NormalPoly.one().scale(3)
