@@ -4,12 +4,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 cap exceeded.  Results go to stdout; the human-format header lines go to
 stderr so that stdout bytes are identical across equivalent methods.
 
-`build_parser` holds the one grammar.  An argv of the plain form
-`COMMAND POSITIONAL... (--OPTION VALUE)...` is parsed by `_quick_args`, which
-reads that grammar off the built parser and returns the Namespace parse_args
-would; every other argv (help, abbreviations, `--opt=value`, a token that
-starts with `-`, a bad value) goes to argparse, the authority on help text
-and usage errors.
+`COMMANDS` is the one grammar: each command's handler, help string,
+positionals and options.  `build_parser` hands it to argparse.  An argv of the
+plain form `COMMAND POSITIONAL... (--OPTION VALUE)...` is parsed by
+`_quick_args`, which reads the same table and returns the Namespace
+parse_args would; every other argv (help, abbreviations, `--opt=value`, a
+token that starts with `-`, a bad value) goes to argparse, the authority on
+help text and usage errors.
 """
 from __future__ import annotations
 
@@ -73,103 +74,6 @@ def _nonnegative(text: str) -> int:
 def _check_degree(what: str, degree: int) -> None:
     if degree > MAX_DEGREE:
         raise CapExceededError(what, degree, MAX_DEGREE)
-
-
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parse_args leaves it unchanged."""
-    parser = _Parser(
-        prog="weylorder",
-        description="Exact normal-ordered Weyl orderings of q^j p^k and friends.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=["plain", "latex", "structured"],
-                       default="plain")
-
-    p = sub.add_parser("weyl", help="Weyl ordering of q^j p^k in normal order")
-    p.add_argument("j", type=_nonnegative)
-    p.add_argument("k", type=_nonnegative)
-    p.add_argument("--method", choices=["closed", "brute", "forced", "cg"],
-                   default="closed")
-    add_format(p)
-
-    p = sub.add_parser("normal-order", help="normal-order a boson word")
-    p.add_argument("expr")
-    p.add_argument("--route", choices=["rewrite", "blasiak"], default="rewrite")
-    add_format(p)
-
-    p = sub.add_parser("coeffs", help="coefficient tables for one (j, k)")
-    p.add_argument("j", type=_nonnegative)
-    p.add_argument("k", type=_nonnegative)
-    p.add_argument("--which", choices=["h", "zeta", "lambda", "xi"], default="h")
-    add_format(p)
-
-    p = sub.add_parser("quantize", help="Weyl-quantize a polynomial system file")
-    p.add_argument("path")
-    add_format(p)
-
-    p = sub.add_parser("check", help="cross-method verification sweep")
-    p.add_argument("--max", type=_nonnegative, default=6, dest="max_degree")
-    p.add_argument("--eta-cap", type=_nonnegative, default=ETA_CAP)
-
-    return parser
-
-
-@cache
-def _grammar() -> dict:
-    """Per command: its positional actions, its options by exact string, and the defaults.
-
-    Read once per process off `build_parser()`.  The help action's default is
-    SUPPRESS, so `-h` is left out and falls back to argparse; so does every
-    command with an action other than a one-value store (a flag, an append, a
-    required option).
-    """
-    commands = next(action for action in build_parser()._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    grammar = {}
-    for name, sub in commands.choices.items():
-        actions = [a for a in sub._actions if a.default is not argparse.SUPPRESS]
-        if all(type(a) is argparse._StoreAction and a.nargs is None
-               and a.required != bool(a.option_strings) for a in actions):
-            grammar[name] = ([a for a in actions if not a.option_strings],
-                             {s: a for a in actions for s in a.option_strings},
-                             {commands.dest: name,
-                              **{a.dest: a.default for a in actions if a.option_strings}})
-    return grammar
-
-
-def _quick_args(argv):
-    """The Namespace parse_args returns for a plain argv, or None to leave argv to argparse.
-
-    Plain is `COMMAND POSITIONAL... (--OPTION VALUE)...`: each option string an
-    exact match, no positional or value that starts with `-`, each value taken
-    by its action's type and inside its choices.  The last of a repeated option wins.
-    """
-    plan = _grammar().get(argv[0]) if argv else None
-    if plan is None:
-        return None
-    positionals, options, defaults = plan
-    count = len(positionals) + 1
-    if len(argv) < count or (len(argv) - count) % 2:
-        return None
-    values = dict(defaults)
-    slots = [*zip(positionals, argv[1:count]),
-             *((options.get(option), token)
-               for option, token in zip(argv[count::2], argv[count + 1::2]))]
-    for action, token in slots:
-        if action is None or token.startswith("-"):
-            return None
-        value = token
-        if action.type is not None:
-            try:
-                value = action.type(token)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
-    return argparse.Namespace(**values)
 
 
 def cmd_weyl(args) -> int:
@@ -266,6 +170,75 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
+# Per command: the handler, the help string, the positionals as (dest, type) and
+# the options as {option string: (dest, type, choices, default)}, in help order.
+_FORMAT = {"--format": ("format", str, ("plain", "latex", "structured"), "plain")}
+COMMANDS = {
+    "weyl": (cmd_weyl, "Weyl ordering of q^j p^k in normal order",
+             (("j", _nonnegative), ("k", _nonnegative)),
+             {"--method": ("method", str, ("closed", "brute", "forced", "cg"), "closed"),
+              **_FORMAT}),
+    "normal-order": (cmd_normal_order, "normal-order a boson word", (("expr", str),),
+                     {"--route": ("route", str, ("rewrite", "blasiak"), "rewrite"), **_FORMAT}),
+    "coeffs": (cmd_coeffs, "coefficient tables for one (j, k)",
+               (("j", _nonnegative), ("k", _nonnegative)),
+               {"--which": ("which", str, ("h", "zeta", "lambda", "xi"), "h"), **_FORMAT}),
+    "quantize": (cmd_quantize, "Weyl-quantize a polynomial system file", (("path", str),),
+                 _FORMAT),
+    "check": (cmd_check, "cross-method verification sweep", (),
+              {"--max": ("max_degree", _nonnegative, None, 6),
+               "--eta-cap": ("eta_cap", _nonnegative, None, ETA_CAP)}),
+}
+# Per command, the Namespace fields before any argument is read.
+_DEFAULTS = {name: {"command": name, **{dest: default for dest, _, _, default in options.values()}}
+             for name, (_, _, _, options) in COMMANDS.items()}
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of COMMANDS, built once per process; parse_args leaves it unchanged."""
+    parser = _Parser(
+        prog="weylorder",
+        description="Exact normal-ordered Weyl orderings of q^j p^k and friends.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, positionals, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for dest, kind in positionals:
+            command.add_argument(dest, type=kind)
+        for option, (dest, kind, choices, default) in options.items():
+            command.add_argument(option, dest=dest, type=kind, choices=choices, default=default)
+    return parser
+
+
+def _quick_args(argv):
+    """The Namespace parse_args returns for a plain argv, or None to leave argv to argparse.
+
+    Plain is `COMMAND POSITIONAL... (--OPTION VALUE)...`: each option string an
+    exact match, no positional or value that starts with `-`, each value taken
+    by its type and inside its choices.  The last of a repeated option wins.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, _, positionals, options = command
+    count = len(positionals) + 1
+    if len(argv) < count or (len(argv) - count) % 2:
+        return None
+    values = dict(_DEFAULTS[argv[0]])
+    fields = [*positionals, *map(options.get, argv[count::2])]
+    for field, token in zip(fields, argv[1:count] + argv[count + 1::2]):
+        if field is None or token.startswith("-"):
+            return None
+        try:
+            value = field[1](token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if len(field) > 2 and field[2] is not None and value not in field[2]:  # only options
+            return None
+        values[field[0]] = value
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -275,15 +248,8 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handler = {
-        "weyl": cmd_weyl,
-        "normal-order": cmd_normal_order,
-        "coeffs": cmd_coeffs,
-        "quantize": cmd_quantize,
-        "check": cmd_check,
-    }[args.command]
     try:
-        return handler(args)
+        return COMMANDS[args.command][0](args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -249,4 +249,6 @@ def load_system(path) -> PolySystem:
             raise SystemFormatError(f"not valid UTF-8 JSON: {exc}") from exc
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
             raise SystemFormatError(f"number has too many digits: {exc}") from exc
+        except RecursionError as exc:  # arrays or objects nested past the interpreter's limit
+            raise SystemFormatError(f"nested too deeply: {exc}") from exc
     return system_from_obj(obj)

@@ -315,6 +315,19 @@ def test_quantize_not_utf8(capsys, tmp_path):
     assert "UTF-8" in err
 
 
+# nested past the interpreter's recursion limit: json.load raises RecursionError
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+def test_quantize_deeply_nested(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    for text in (DEEP_JSON, f'{{"qdot": {DEEP_JSON}, "pdot": []}}'):
+        path.write_text(text)
+        code, out, err = run(capsys, "quantize", str(path))
+        assert (code, out) == (2, "")
+        assert "nested too deeply" in err and len(err.splitlines()) == 1
+
+
 def test_check_passes(capsys):
     code, out, _ = run(capsys, "check", "--max", "4")
     assert code == 0
@@ -473,13 +486,31 @@ def test_cached_parser_matches_fresh_process(capsys, monkeypatch):
 
 
 def test_plain_argv_takes_the_fast_lane():
-    # the form of every benchmark request: parsed without argparse, to the same Namespace
-    for argv in (["normal-order", "a^2 ad", "--route", "blasiak"],
-                 ["weyl", "3", "2", "--method", "closed", "--format", "latex"],
-                 ["quantize", "system.json", "--format", "structured"], ["check", "--max", "4"],
-                 ["coeffs", "1", "1"]):
+    # the form of every benchmark request, and every option of every command:
+    # parsed without argparse, to the same Namespace
+    positionals = {"weyl": ["3", "2"], "normal-order": ["a^2 ad"], "coeffs": ["1", "1"],
+                   "quantize": ["system.json"], "check": []}
+    cases = [["normal-order", "a^2 ad", "--route", "blasiak"],
+             ["weyl", "3", "2", "--method", "closed", "--format", "latex"],
+             ["quantize", "system.json", "--format", "structured"], ["check", "--max", "4"],
+             ["coeffs", "1", "1"]]
+    for command, (_, options) in PLAIN.items():
+        cases += [[command, *positionals[command], option, value]
+                  for option in options for value in OPTIONS[option] or ["0", "5"]]
+    for argv in cases:
         quick = _quick_args(argv)
         assert quick is not None and quick == build_parser().parse_args(argv)
+
+
+def test_help_of_every_command(capsys):
+    # help comes from argparse; each text names the command's own options
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and all(command in out for command in PLAIN)
+    for command, (_, options) in PLAIN.items():
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: weylorder {command}")
+        assert all(option in out for option in options)
 
 
 def test_usage_error_exit_code(capsys):
@@ -489,7 +520,7 @@ def test_usage_error_exit_code(capsys):
 
 SYSTEMS = {"small.json": {"qdot": [{"j": 2, "k": 1, "coeff": "1/2"}], "pdot": []},
            "huge.json": {"qdot": [{"j": 10 ** 9, "k": 1, "coeff": "1/2"}], "pdot": []},
-           "bigcoeff.json": BIG_COEFF_SYSTEM}
+           "bigcoeff.json": BIG_COEFF_SYSTEM, "deep.json": DEEP_JSON}
 COMMANDS = ["weyl", "normal-order", "coeffs", "quantize", "check"]
 INTS = ["-1", "0", "3", "1000000000", "9" * 5000]
 OPTIONS = {"--method": ["closed", "brute", "forced", "cg"], "--route": ["rewrite", "blasiak"],
@@ -516,7 +547,8 @@ def argvs(draw):
 def systems_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("systems")
     for name, document in SYSTEMS.items():
-        (directory / name).write_text(json.dumps(document))
+        text = document if isinstance(document, str) else json.dumps(document)
+        (directory / name).write_text(text)
     return directory
 
 
@@ -528,6 +560,7 @@ def systems_dir(tmp_path_factory):
 @example(argv=["check", "--max", "1000000000"])
 @example(argv=["normal-order", "a^100000000"])
 @example(argv=["quantize", "bigcoeff.json"])
+@example(argv=["quantize", "deep.json"])
 @example(argv=["weyl", "1", "1", "--method", "9" * 5000])
 def test_every_argv_honours_the_exit_codes(systems_dir, argv):
     argv = [str(systems_dir / word) if word in POSITIONALS["quantize"] else word
