@@ -7,10 +7,13 @@ guard-function sum, nonzero-range sum) that are cross-checked in the test
 suite and by the `check` sweep.
 
 Every coefficient of one (j, k) is the unit i^k 2^{-(j+k)/2} times u!/2^u
-times an integer, so the table is built from one zeta row in ints: the unit
-is applied once per row u, as `Scalar.weyl_unit(j, k, 1/2^u)`, and each slot
-of the row is that unit scaled by the slot's int numerator
-u! C(n-u-v, u) C(u+v, u) zeta[u+v] through `Scalar._times_rational`.
+times an integer, so it sits in the one ring component the unit fills, and
+the table is built from one zeta row in ints.  `Scalar.weyl_unit(j, k)` is
+read once for that component, its sign and its denominator; row u shifts the
+denominator by u, and the int u! C(n-u-v, u) C(u+v, u) steps along the row by
+exact division.  Each slot's Scalar is built from (component, numerator,
+denominator) with one two-argument gcd, and `weyl_normal_form` builds none
+for a zero slot.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .poly import NormalPoly
-from .scalar import Scalar
+from .scalar import Scalar, _one
 
 
 def lambda_factor(j: int, k: int, u: int, v: int) -> int:
@@ -79,11 +82,6 @@ def zeta_range(j: int, k: int, t: int) -> int:
                for m in range(max(0, t - j), min(k, t) + 1))
 
 
-def _slot_numerator(n: int, u: int, v: int, zeta: int) -> int:
-    """u! C(n-u-v, u) C(u+v, u) zeta(j, k, u+v): h(j,k,u,v) without unit and 1/2^u, n = j+k."""
-    return factorial(u) * comb(n - u - v, u) * comb(u + v, u) * zeta
-
-
 def slots(n: int):
     """Yield every slot (u, v) with 2u+v <= n, u then v ascending."""
     for u in range(n // 2 + 1):
@@ -94,35 +92,55 @@ def slots(n: int):
 def h_coeff(j: int, k: int, u: int, v: int) -> Scalar:
     """Coefficient of ad^(j+k-2u-v) a^v in the normal form of the Weyl ordering.
 
-    Its one zeta value comes from the nonzero-range sum, not the row `h_slots` expands.
+    It is the unit over 2^u times u! C(n-u-v, u) C(u+v, u) zeta(j, k, u+v), n = j+k, with
+    factorial and comb, and with zeta from the nonzero-range sum, not the row `h_slots` expands.
     """
     if min(j, k, u, v) < 0:
         raise ValueError("indices must be nonnegative")
     if 2 * u + v > j + k:
         raise ValueError("2u+v exceeds j+k")
     unit = Scalar.weyl_unit(j, k, Fraction(1, 1 << u))
-    return unit._times_rational(_slot_numerator(j + k, u, v, zeta_range(j, k, u + v)))
+    return unit._times_rational(
+        factorial(u) * comb(j + k - u - v, u) * comb(u + v, u) * zeta_range(j, k, u + v))
 
 
-def h_slots(j: int, k: int):
-    """Yield (u, v, h(j,k,u,v)) for every slot, u then v ascending, from one zeta row."""
+def _slot_ints(j: int, k: int):
+    """Yield (u, v, index, num, den) for every slot, u then v ascending: h(j,k,u,v) is the
+    unreduced num/den in ring component `index`, the one component of `Scalar.weyl_unit(j, k)`.
+    """
     if min(j, k) < 0:
         raise ValueError("indices must be nonnegative")
     n = j + k
     zeta = zeta_row(j, k)
-    for u, v in slots(n):
-        if not v:  # each row u starts at v = 0: the unit of the row, over 2^u
-            unit = Scalar.weyl_unit(j, k, Fraction(1, 1 << u))
-        yield u, v, unit._times_rational(_slot_numerator(n, u, v, zeta[u + v]))
+    *nums, unit_den = Scalar.weyl_unit(j, k)._v
+    head = sum(nums)  # the unit's one nonzero component, +-1
+    index = nums.index(head)
+    for u in range(n // 2 + 1):
+        if u:  # sign u! C(n-u, u) = sign (n-u)!/(n-2u)!, from row u-1
+            head = head * (n - 2 * u + 2) * (n - 2 * u + 1) // (n - u + 1)
+        den = unit_den << u
+        c = head
+        for v in range(n - 2 * u + 1):
+            if v:  # c = sign u! C(n-u-v, u) C(u+v, u), from v-1
+                c = c * (n - 2 * u - v + 1) * (u + v) // ((n - u - v + 1) * v)
+            yield u, v, index, c * zeta[u + v], den
+
+
+def h_slots(j: int, k: int):
+    """Yield (u, v, h(j,k,u,v)) for every slot, u then v ascending, from one zeta row."""
+    for u, v, index, num, den in _slot_ints(j, k):
+        yield u, v, _one(index, num, den)
 
 
 def weyl_normal_form(j: int, k: int) -> NormalPoly:
     """Normal-ordered equivalent of the Weyl ordering of q^j p^k (closed form).
 
-    Slot (u, v) is the term ad^(j+k-2u-v) a^v, so every slot has its own key.
+    Slot (u, v) is the term ad^(j+k-2u-v) a^v, so every slot has its own key; a zero
+    slot builds no Scalar.
     """
     n = j + k
-    return NormalPoly._of({(n - 2 * u - v, v): h for u, v, h in h_slots(j, k)})
+    return NormalPoly._of({(n - 2 * u - v, v): _one(index, num, den)
+                           for u, v, index, num, den in _slot_ints(j, k) if num})
 
 
 @dataclass

@@ -30,13 +30,13 @@ ETA_CAP = 6
 
 
 class CapExceededError(Exception):
-    """Raised when an enumeration is asked to exceed its configured degree cap."""
+    """Raised when a request is asked to exceed a configured cap; `unit` names what is counted."""
 
-    def __init__(self, what: str, degree: int, cap: int):
+    def __init__(self, what: str, degree: int, cap: int, unit: str = "degree"):
         self.what = what
         self.degree = degree
         self.cap = cap
-        super().__init__(f"{what}: degree {degree} exceeds cap {cap}")
+        super().__init__(f"{what}: {unit} {degree} exceeds cap {cap}")
 
 
 def distinct_orderings(j: int, k: int):

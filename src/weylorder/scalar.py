@@ -163,7 +163,7 @@ class Scalar:
                 f"{self.y_re!s}r2, {self.y_im!s}ir2)")
 
 
-# The slot setter that bypasses Scalar.__setattr__; only __init__ and _make call it.
+# The slot setter that bypasses Scalar.__setattr__; only __init__, _make and _one call it.
 _set_v = Scalar._v.__set__
 
 
@@ -183,6 +183,19 @@ def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> Scalar:
     g = gcd(n0, n1, n2, n3, d)
     self = _new(Scalar)
     _set_v(self, (n0, n1, n2, n3, d) if g == 1 else (n0 // g, n1 // g, n2 // g, n3 // g, d // g))
+    return self
+
+
+def _one(index: int, num: int, den: int) -> Scalar:
+    """The Scalar num/den in component `index` (0..3) and zero in the others, den > 0.
+
+    With one nonzero component the reduced form needs only gcd(num, den).
+    """
+    g = gcd(num, den)
+    v = [0, 0, 0, 0, den // g]
+    v[index] = num // g
+    self = _new(Scalar)
+    _set_v(self, tuple(v))
     return self
 
 

@@ -67,7 +67,7 @@ def parse_boson_word(text: str, max_letters: int | None = None) -> tuple:
             raise ParseError("power too large", span)
     total = sum(count for _, count, _ in runs)
     if max_letters is not None and total > max_letters:
-        raise CapExceededError("boson word", total, max_letters)
+        raise CapExceededError("boson word", total, max_letters, "letters")
     letters = []
     for letter, count, _ in runs:
         letters.extend([letter] * count)
@@ -85,7 +85,7 @@ def _digits(n: int) -> str:
         digits = int(math.log10(n)) + 1  # the float log is off by one next to a power of 10
         digits += (n >= 10 ** digits) - (n < 10 ** (digits - 1))
         limit = sys.get_int_max_str_digits()
-        raise CapExceededError("coefficient digits", digits, limit) from None
+        raise CapExceededError("coefficient", digits, limit, "digits") from None
 
 
 def _frac_str(f: Fraction) -> str:
@@ -119,16 +119,20 @@ _LATEX_SYMBOLS = ("", "i", r"\sqrt{2}", r"i\sqrt{2}")
 def _scalar_text(c: Scalar, latex: bool):
     """Return (magnitude_text, negated_for_display, is_bare_positive_integer).
 
-    Each nonzero stored component n_i/d is reduced by one gcd to the formatter's (num, den).
+    A value of one nonzero component n/d is already reduced and is formatted as it
+    is stored; every Weyl coefficient is one.  Otherwise each nonzero component n_i/d
+    is reduced by one gcd to the formatter's (num, den).
     """
     symbols = _LATEX_SYMBOLS if latex else _PLAIN_SYMBOLS
     fmt = _component_latex if latex else _component_plain
     *nums, d = c._v
+    if nums.count(0) == 3:
+        num = sum(nums)
+        symbol = symbols[nums.index(num)]
+        return fmt(num, d, symbol), num < 0, not symbol and d == 1
     pieces = [(n // (g := gcd(n, d)), d // g, s) for n, s in zip(nums, symbols) if n]
     num, den, symbol = pieces[0]
     negated = num < 0
-    if len(pieces) == 1:  # every Weyl coefficient has exactly one component
-        return fmt(num, den, symbol), negated, not symbol and den == 1
     # the component texts carry no sign; each sign is read relative to the lead's
     body = fmt(num, den, symbol)
     for num, den, symbol in pieces[1:]:
@@ -158,8 +162,16 @@ _FIELDS = ("x_re", "x_im", "y_re", "y_im")
 
 
 def scalar_fields(c: Scalar) -> dict:
-    """The four components as "num/den" strings, each n_i/d reduced by one gcd; zero is "0/1"."""
+    """The four components as "num/den" strings, each n_i/d reduced by one gcd; zero is "0/1".
+
+    A value of one nonzero component n/d is already reduced, so it takes no gcd.
+    """
     *nums, d = c._v
+    if nums.count(0) == 3:
+        num = sum(nums)
+        fields = dict.fromkeys(_FIELDS, "0/1")
+        fields[_FIELDS[nums.index(num)]] = f"{_digits(num)}/{_digits(d)}"
+        return fields
     return {name: f"{_digits(n // (g := gcd(n, d)))}/{_digits(d // g)}" if n else "0/1"
             for name, n in zip(_FIELDS, nums)}
 

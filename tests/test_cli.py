@@ -204,6 +204,7 @@ def test_normal_order_letter_cap(capsys):
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, ""), expr
         assert f"exceeds cap {MAX_WORD_LETTERS}" in err
+        assert "boson word: letters " in err
     code, out, _ = run(capsys, "normal-order", f"ad^{MAX_WORD_LETTERS}")
     assert (code, out) == (0, f"ad^{MAX_WORD_LETTERS}\n")
 
@@ -303,7 +304,7 @@ def test_quantize_big_coefficient(capsys, tmp_path):
     for fmt in ("plain", "latex", "structured"):
         code, out, err = run(capsys, "quantize", str(path), "--format", fmt)
         assert (code, out) == (3, ""), fmt
-        assert "coefficient digits" in err and "Traceback" not in err
+        assert "coefficient: digits " in err and "Traceback" not in err
 
 
 def test_quantize_not_utf8(capsys, tmp_path):

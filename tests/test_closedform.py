@@ -105,6 +105,18 @@ def test_slots_match_one_fraction_per_slot(pairs):
             assert h_coeff(j, k, u, v) == expected, (j, k, u, v)
 
 
+@pytest.mark.parametrize("pairs", [
+    [(j, n - j) for n in range(25) for j in range(n + 1)],
+    [(40, 40), (0, 61), (61, 0), (30, 33), (1, 120)],
+], ids=["to-degree-24", "high-degree"])
+def test_weyl_normal_form_is_the_nonzero_fraction_slots(pairs):
+    # the stepped int kernel against one Fraction per slot; a zero slot must leave no term
+    for j, k in pairs:
+        n = j + k
+        expected = {(n - 2 * u - v, v): h for u, v in slots(n) if (h := h_by_fraction(j, k, u, v))}
+        assert dict(weyl_normal_form(j, k).items()) == expected, (j, k)
+
+
 def test_closed_form_matches_cg_at_high_degree():
     for j, k in [(12, 13), (20, 20), (0, 17)]:
         assert weyl_normal_form(j, k) == weyl_via_cg(j, k)

@@ -14,7 +14,7 @@ from weylorder.textio import (ParseError, SystemFormatError, _scalar_text, load_
                               parse_boson_word, render, scalar_fields, system_from_obj)
 
 from oracle import scalar_fields_by_fraction, scalar_text_by_fraction
-from test_scalar import scalars
+from test_scalar import bounded_fractions, scalars
 
 
 def test_parse_boson_word_errors():
@@ -104,9 +104,10 @@ def test_render_past_the_digit_limit():
     # an int of more digits than str() converts is a cap error (CLI exit 3), not a ValueError
     limit = sys.get_int_max_str_digits()
     big = 10 ** limit
+    # one component with a big numerator, then with a big denominator, then several components
     for coeff in (Scalar(big), Scalar(x_im=Fraction(1, big)), Scalar(y_re=1, y_im=-big)):
         for fmt in ("plain", "latex", "structured"):
-            with pytest.raises(CapExceededError, match=f"digits: degree {limit + 1} exceeds"):
+            with pytest.raises(CapExceededError, match=f"coefficient: digits {limit + 1} exceeds"):
                 render(NormalPoly({(1, 0): coeff}), fmt)
     assert render(NormalPoly({(0, 0): big - 1})) == "9" * limit
 
@@ -201,6 +202,32 @@ def test_scalar_renderers_match_fraction_renderers(c):
     if c:
         for latex in (False, True):
             assert _scalar_text(c, latex) == scalar_text_by_fraction(c, latex)
+
+
+# (m, n) -> (plain, latex) text of the monomial ad^m a^n
+TERMS = {(0, 0): ("", ""), (1, 0): ("ad", r"\hat{a}^{\dagger}"),
+         (2, 3): ("ad^2 a^3", r"\hat{a}^{\dagger 2}\hat{a}^{3}")}
+
+
+@given(st.integers(0, 3), bounded_fractions().filter(bool))
+def test_one_component_renderers_match_fraction_renderers(index, value):
+    # a one-component value is formatted as it is stored, with no gcd
+    c = Scalar(*[value if i == index else 0 for i in range(4)])
+    assert scalar_fields(c) == scalar_fields_by_fraction(c)
+    for latex, fmt in ((False, "plain"), (True, "latex")):
+        body, negated, bare = scalar_text_by_fraction(c, latex)
+        sign = "-" if negated else ""
+        for key, texts in TERMS.items():
+            term = texts[latex]
+            if not term:
+                text = body
+            elif bare and body == "1":
+                text = term
+            elif bare:
+                text = f"{body}{term}" if latex else f"{body} {term}"
+            else:
+                text = rf"\left({body}\right){term}" if latex else f"({body}) {term}"
+            assert render(NormalPoly({key: c}), fmt) == sign + text
 
 
 def test_render_structured():
