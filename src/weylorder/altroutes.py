@@ -142,6 +142,7 @@ def blasiak_normal_order(x: BosonString) -> NormalPoly:
     terms = {}
     fact = factorial(lo)
     for k in range(lo, hi + 1):
-        terms[(d_m + k, k) if d_m >= 0 else (k, k - d_m)] = _make(row[k], 0, 0, 0, fact)
+        if row[k]:  # a difference can vanish: ad a a ad has none at k = 0
+            terms[(d_m + k, k) if d_m >= 0 else (k, k - d_m)] = _make(row[k], 0, 0, 0, fact)
         fact *= k + 1
     return NormalPoly._of(terms)

@@ -11,9 +11,11 @@ times an integer, so it sits in the one ring component the unit fills, and
 the table is built from one zeta row in ints.  `Scalar.weyl_unit(j, k)` is
 read once for that component, its sign and its denominator; row u shifts the
 denominator by u, and the int u! C(n-u-v, u) C(u+v, u) steps along the row by
-exact division.  Each slot's Scalar is built from (component, numerator,
-denominator) with one two-argument gcd, and `weyl_normal_form` builds none
-for a zero slot.
+exact division.  `_slot_rows` yields each row as its int numerators over one
+denominator.  `h_slots` and `weyl_normal_form` build each slot's Scalar from
+(component, numerator, denominator) with one two-argument gcd, and
+`weyl_normal_form` builds none for a zero slot; `quantize` sums the rows of
+several monomials in ints before it builds any Scalar.
 """
 from __future__ import annotations
 
@@ -104,32 +106,34 @@ def h_coeff(j: int, k: int, u: int, v: int) -> Scalar:
         factorial(u) * comb(j + k - u - v, u) * comb(u + v, u) * zeta_range(j, k, u + v))
 
 
-def _slot_ints(j: int, k: int):
-    """Yield (u, v, index, num, den) for every slot, u then v ascending: h(j,k,u,v) is the
-    unreduced num/den in ring component `index`, the one component of `Scalar.weyl_unit(j, k)`.
+def _slot_rows(j: int, k: int):
+    """Yield (u, index, den, nums) once per row u, u ascending: h(j,k,u,v) is the unreduced
+    nums[v]/den, v = 0..j+k-2u, in ring component `index`, the one component of
+    `Scalar.weyl_unit(j, k)`.
     """
     if min(j, k) < 0:
         raise ValueError("indices must be nonnegative")
     n = j + k
     zeta = zeta_row(j, k)
-    *nums, unit_den = Scalar.weyl_unit(j, k)._v
-    head = sum(nums)  # the unit's one nonzero component, +-1
-    index = nums.index(head)
+    *units, unit_den = Scalar.weyl_unit(j, k)._v
+    head = sum(units)  # the unit's one nonzero component, +-1
+    index = units.index(head)
     for u in range(n // 2 + 1):
         if u:  # sign u! C(n-u, u) = sign (n-u)!/(n-2u)!, from row u-1
             head = head * (n - 2 * u + 2) * (n - 2 * u + 1) // (n - u + 1)
-        den = unit_den << u
         c = head
-        for v in range(n - 2 * u + 1):
-            if v:  # c = sign u! C(n-u-v, u) C(u+v, u), from v-1
-                c = c * (n - 2 * u - v + 1) * (u + v) // ((n - u - v + 1) * v)
-            yield u, v, index, c * zeta[u + v], den
+        nums = [c * zeta[u]]
+        for v in range(1, n - 2 * u + 1):  # c = sign u! C(n-u-v, u) C(u+v, u), from v-1
+            c = c * (n - 2 * u - v + 1) * (u + v) // ((n - u - v + 1) * v)
+            nums.append(c * zeta[u + v])
+        yield u, index, unit_den << u, nums
 
 
 def h_slots(j: int, k: int):
     """Yield (u, v, h(j,k,u,v)) for every slot, u then v ascending, from one zeta row."""
-    for u, v, index, num, den in _slot_ints(j, k):
-        yield u, v, _one(index, num, den)
+    for u, index, den, nums in _slot_rows(j, k):
+        for v, num in enumerate(nums):
+            yield u, v, _one(index, num, den)
 
 
 def weyl_normal_form(j: int, k: int) -> NormalPoly:
@@ -140,7 +144,8 @@ def weyl_normal_form(j: int, k: int) -> NormalPoly:
     """
     n = j + k
     return NormalPoly._of({(n - 2 * u - v, v): _one(index, num, den)
-                           for u, v, index, num, den in _slot_ints(j, k) if num})
+                           for u, index, den, nums in _slot_rows(j, k)
+                           for v, num in enumerate(nums) if num})
 
 
 @dataclass

@@ -7,6 +7,11 @@ one letter at a time, right to left, and memoizes whole words.  The normal
 form of a suffix is kept as one int per contraction count k, since its terms
 are ad^(ads-k) a^(annihilators-k) for the suffix's letter counts: an ad letter
 only counts, and an a letter steps the list once.
+
+A NormalPoly holds no zero term.  `NormalPoly(...)` validates and prunes;
+`NormalPoly._of` takes its dict unchecked, so each builder that can cancel
+prunes its own terms (`+` and `-` per summed key, `*` once at the end, a
+scale by zero at once) and passes `_of` only nonzero Scalars.
 """
 from __future__ import annotations
 
@@ -43,9 +48,12 @@ class NormalPoly:
 
     @classmethod
     def _of(cls, terms: dict) -> "NormalPoly":
-        """A NormalPoly from Scalars under nonnegative keys, unchecked; zero terms are pruned."""
+        """A NormalPoly that takes the dict as it is: nonzero Scalars under nonnegative keys.
+
+        Nothing is checked; a caller whose terms can cancel prunes them itself.
+        """
         self = object.__new__(cls)
-        self._terms = {key: coeff for key, coeff in terms.items() if coeff}
+        self._terms = terms
         return self
 
     # -- access ------------------------------------------------------------
@@ -82,16 +90,20 @@ class NormalPoly:
         return NormalPoly._of(acc)
 
     def _add_into(self, acc: dict, factor: Fraction | int | None = None) -> None:
-        """Add self, times an optional rational factor, into the term dict acc in place.
+        """Add self, times an optional nonzero rational factor, into the term dict acc in place.
 
-        A sum of many polynomials accumulates into one dict this way and becomes
-        a NormalPoly once at the end, which prunes the zero terms once.
+        A key whose sum cancels is deleted, so an acc of nonzero terms stays one.
         """
         for key, coeff in self._terms.items():
             if factor is not None:
                 coeff = coeff._times_rational(factor)
             prev = acc.get(key)
-            acc[key] = coeff if prev is None else prev + coeff
+            if prev is None:
+                acc[key] = coeff
+            elif coeff := prev + coeff:
+                acc[key] = coeff
+            else:
+                del acc[key]
 
     def __neg__(self) -> "NormalPoly":
         return NormalPoly._of({key: -coeff for key, coeff in self._terms.items()})
@@ -111,6 +123,8 @@ class NormalPoly:
 
     def scale(self, value) -> "NormalPoly":
         value = _coerce(value)
+        if not value:
+            return NormalPoly()
         return NormalPoly._of({key: coeff * value for key, coeff in self._terms.items()})
 
     def _np_mul(self, other: "NormalPoly") -> "NormalPoly":
@@ -126,7 +140,7 @@ class NormalPoly:
                     term = c if w == 1 else c._times_rational(w)
                     prev = acc.get(key)
                     acc[key] = term if prev is None else prev + term
-        return NormalPoly._of(acc)
+        return NormalPoly._of({key: c for key, c in acc.items() if c})
 
     def adjoint(self) -> "NormalPoly":
         """Hermitian conjugate: (m, n) with c goes to (n, m) with conj(c)."""

@@ -3,22 +3,29 @@
 A classical vector field (q' = A(q,p), p' = B(q,p)) with rational polynomial
 right-hand sides is mapped term by term through the Weyl normal form, giving
 the expected dynamics of <q> and <p> as normal-ordered operator polynomials.
+A side is summed from the closed form's int rows (`closedform._slot_rows`),
+scaled by each coefficient, over one common denominator: each output term is
+reduced once, and a term whose sum cancels builds no Scalar.
 Systems are autonomous and coefficients must be real rationals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from types import MappingProxyType
 
-from .closedform import weyl_normal_form
+from .closedform import _slot_rows
 from .poly import NormalPoly
+from .scalar import _make
 
 
 def _clean_side(side, name: str) -> dict:
     clean = {}
     for (j, k), coeff in dict(side or {}).items():
+        if any(isinstance(e, bool) or not isinstance(e, int) for e in (j, k)):
+            raise ValueError(f"{name}: exponents at ({j!r}, {k!r}) must be integers")
         if j < 0 or k < 0:
             raise ValueError(f"{name}: negative exponent at ({j}, {k})")
         if isinstance(coeff, bool) or not isinstance(coeff, (int, Rational)):
@@ -53,11 +60,28 @@ class ExpectedDynamics:
 
 
 def quantize_side(side) -> NormalPoly:
-    """Sum of coeff * weyl_normal_form(j, k) over the side's monomials, in one dict."""
-    acc: dict = {}
+    """Sum of coeff * weyl_normal_form(j, k) over the side's monomials, in ints.
+
+    Each closed-form row of a monomial, times the coefficient's numerator, is an int
+    row over den * coeff.denominator; every (key, component) sums as one int over the
+    lcm d of those denominators, and each key with a nonzero sum becomes one Scalar.
+    """
+    rows = []  # (j+k-2u, component, den, numerator factor, closed-form numerators)
     for (j, k), coeff in _clean_side(side, "side").items():
-        weyl_normal_form(j, k)._add_into(acc, coeff)
-    return NormalPoly._of(acc)
+        for u, index, den, nums in _slot_rows(j, k):
+            rows.append((j + k - 2 * u, index, den * coeff.denominator, coeff.numerator, nums))
+    d = lcm(*(row[2] for row in rows))
+    acc: dict = {}
+    for width, index, den, p, nums in rows:
+        p *= d // den
+        for v, num in enumerate(nums):
+            if num:
+                key = (width - v, v)
+                sums = acc.get(key)
+                if sums is None:
+                    sums = acc[key] = [0, 0, 0, 0]
+                sums[index] += num * p
+    return NormalPoly._of({key: _make(*sums, d) for key, sums in acc.items() if any(sums)})
 
 
 def quantize_system(system: PolySystem) -> ExpectedDynamics:

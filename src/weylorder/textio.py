@@ -141,12 +141,11 @@ def _scalar_text(c: Scalar, latex: bool):
 
 
 def _term_plain(m: int, n: int) -> str:
-    parts = []
-    if m:
-        parts.append("ad" if m == 1 else f"ad^{m}")
-    if n:
-        parts.append("a" if n == 1 else f"a^{n}")
-    return " ".join(parts)
+    head = ("ad" if m == 1 else f"ad^{m}") if m else ""
+    if not n:
+        return head
+    tail = "a" if n == 1 else f"a^{n}"
+    return f"{head} {tail}" if m else tail
 
 
 def _term_latex(m: int, n: int) -> str:
@@ -169,7 +168,7 @@ def scalar_fields(c: Scalar) -> dict:
     *nums, d = c._v
     if nums.count(0) == 3:
         num = sum(nums)
-        fields = dict.fromkeys(_FIELDS, "0/1")
+        fields = {"x_re": "0/1", "x_im": "0/1", "y_re": "0/1", "y_im": "0/1"}
         fields[_FIELDS[nums.index(num)]] = f"{_digits(num)}/{_digits(d)}"
         return fields
     return {name: f"{_digits(n // (g := gcd(n, d)))}/{_digits(d // g)}" if n else "0/1"

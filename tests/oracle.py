@@ -11,6 +11,9 @@ shares the NormalPoly product with brute but no code with the closed form,
 and holds the direct forms of two package sums: the eta sign sum over all
 n! permutations and the cg route as one converted bracket per binomial term.
 
+`quantize_by_polys` sums a quantized side as whole closed-form polynomials
+through the public `+` and `*`, not in ints.
+
 The closed-form slot and the coefficient renderers are written here on
 Fractions: one Fraction per slot, and one Fraction per component read
 through the `x_re ... y_im` properties.
@@ -24,7 +27,7 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 from weylorder.altroutes import cg_weyl_monomial
-from weylorder.closedform import zeta_sum
+from weylorder.closedform import weyl_normal_form, zeta_sum
 from weylorder.poly import ANNIHILATE, CREATE, P_POLY, Q, Q_POLY, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
 from weylorder.textio import _LATEX_SYMBOLS, _PLAIN_SYMBOLS, _digits, _frac_str
@@ -230,6 +233,14 @@ def weyl_by_cg_monomials(j, k):
             c = comb(j, alpha) * comb(k, beta) * (-1) ** (k - beta)
             cg_weyl_monomial(alpha + k - beta, j - alpha + beta)._add_into(acc, Fraction(c))
     return NormalPoly(acc) * Scalar.weyl_unit(j, k)
+
+
+def quantize_by_polys(side):
+    """Sum of weyl_normal_form(j, k) * Fraction(c) over a side {(j, k): c}, one `+` per monomial."""
+    total = NormalPoly()
+    for (j, k), c in side.items():
+        total = total + weyl_normal_form(j, k) * Fraction(c)
+    return total
 
 
 def h_by_fraction(j, k, u, v):

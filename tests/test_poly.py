@@ -5,9 +5,12 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from weylorder.altroutes import blasiak_normal_order, blockify
+from weylorder.altroutes import blasiak_normal_order, blockify, weyl_via_cg
+from weylorder.closedform import h_slots, weyl_normal_form
+from weylorder.enumeration import weyl_bruteforce
 from weylorder.poly import (_NO_CACHE, ANNIHILATE, CREATE, P, Q, NormalPoly,
                             _normal_order_int, expand_qp_word, normal_order_word)
+from weylorder.quantize import quantize_side
 from weylorder.scalar import Scalar
 
 from oracle import (A_POLY, AD_POLY, I, apply_boson_word, apply_normal_poly, apply_qp_word,
@@ -56,6 +59,30 @@ def test_adjoint():
     assert g.adjoint() == g
     h = NormalPoly({(2, 1): I_HALF, (0, 3): Scalar(y_im=2)})
     assert h.adjoint().adjoint() == h
+
+
+def test_no_builder_leaves_a_zero_term():
+    # NormalPoly._of takes its terms unchecked, so every builder prunes its own
+    p = NormalPoly({(2, 1): Fraction(1, 3), (0, 0): Scalar(0, 1)})
+    a, ad = A_POLY, AD_POLY
+    built = {
+        "p - p": p - p,
+        "p * 0": p * 0,
+        "0 * p": 0 * p,
+        "p * Scalar()": p * Scalar(),
+        "(ad + a) * (ad - a)": (ad + a) * (ad - a),  # the two ad a terms cancel
+        "normal_order_word": normal_order_word((CREATE, ANNIHILATE, ANNIHILATE, CREATE)),
+        "blasiak": blasiak_normal_order(blockify((CREATE, ANNIHILATE, ANNIHILATE, CREATE))),
+        "weyl_normal_form(3, 5)": weyl_normal_form(3, 5),  # zero odd-odd middle slots
+        "weyl_via_cg(3, 5)": weyl_via_cg(3, 5),
+        "weyl_bruteforce(3, 5)": weyl_bruteforce(3, 5),
+        "q^2 + p^2": quantize_side({(2, 0): 1, (0, 2): 1}),  # ad^2 and a^2 cancel
+    }
+    assert {name: poly._terms for name, poly in built.items() if not all(poly._terms.values())} == {}
+    assert built["p - p"] == built["p * 0"] == built["p * Scalar()"] == NormalPoly()
+    assert built["(ad + a) * (ad - a)"] == NormalPoly({(2, 0): 1, (0, 2): -1, (0, 0): 1})
+    assert built["blasiak"] == built["normal_order_word"] == NormalPoly({(2, 2): 1, (1, 1): 2})
+    assert not all(h for _, _, h in h_slots(3, 5))
 
 
 def test_normal_order_word_basics():

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weylorder.closedform import weyl_normal_form
 from weylorder.poly import NormalPoly
 from weylorder.quantize import PolySystem, quantize_side, quantize_system
 from weylorder.scalar import Scalar
 
-from oracle import I
+from oracle import I, quantize_by_polys
 
 
 def test_quantize_side_examples():
@@ -32,10 +33,15 @@ def test_quantize_side_prunes_cancelled_terms():
     poly = quantize_side(side)
     assert poly == NormalPoly({(1, 1): Scalar(x_re=2), (0, 0): Scalar(x_re=1)})
     assert [key for key, _ in poly.items()] == [(1, 1), (0, 0)]
-    term_by_term = NormalPoly()
-    for (j, k), coeff in side.items():
-        term_by_term = term_by_term + weyl_normal_form(j, k) * coeff
-    assert poly == term_by_term
+    # q^4 - p^4 and q^3 p + q p^3 keep only their ad^3 a, ad a^3, ad^2 and a^2 terms
+    for side, keys in ((side, {(1, 1), (0, 0)}),
+                       ({(2, 0): Fraction(1, 3), (0, 2): Fraction(1, 3)}, {(1, 1), (0, 0)}),
+                       ({(4, 0): 7, (0, 4): -7}, {(3, 1), (1, 3), (2, 0), (0, 2)}),
+                       ({(3, 1): 1, (1, 3): 1}, {(3, 1), (1, 3), (2, 0), (0, 2)})):
+        poly = quantize_side(side)
+        assert poly == quantize_by_polys(side)
+        assert set(poly._terms) == keys
+        assert all(poly._terms.values())
 
 
 def test_harmonic_oscillator():
@@ -100,3 +106,24 @@ def test_rejects_bad_coefficients():
         PolySystem(qdot={(0, 1): 1j})
     with pytest.raises(ValueError):
         PolySystem(qdot={(-1, 0): 1})
+
+
+def test_rejects_bad_exponents():
+    # read as the system-file reader reads them: only ints, and never a bool
+    for key in ((True, 1), (1, False), (1.5, 0), (0, 2.0), ("1", 0), (None, 1)):
+        with pytest.raises(ValueError, match=r"^side: exponents at \(.*\) must be integers"):
+            quantize_side({key: 1})
+        with pytest.raises(ValueError, match=rf"^pdot: exponents at \({key[0]!r}, {key[1]!r}\)"):
+            PolySystem(pdot={key: 1})
+
+
+MONOMIALS = [(j, n - j) for n in range(15) for j in range(n + 1)]
+BIG_FRACTIONS = st.builds(Fraction, st.integers(-10 ** 8, 10 ** 8), st.integers(1, 10 ** 8))
+
+
+@given(st.dictionaries(st.sampled_from(MONOMIALS), BIG_FRACTIONS, max_size=6))
+def test_integer_sum_matches_the_sum_of_polys(side):
+    poly = quantize_side(side)
+    assert poly == quantize_by_polys(side)
+    assert all(poly._terms.values())
+
