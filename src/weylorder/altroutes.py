@@ -14,7 +14,7 @@ from itertools import groupby
 from math import comb, factorial, perm
 
 from .poly import ANNIHILATE, CREATE, NormalPoly
-from .scalar import Scalar, _make
+from .scalar import Scalar, _one
 
 
 def cg_weyl_monomial(m: int, n: int) -> NormalPoly:
@@ -33,7 +33,7 @@ def weyl_via_cg(j: int, k: int) -> NormalPoly:
     Inside the Weyl bracket the letters commute, so (a+ad)^j (ad-a)^k is
     expanded binomially, in ints, into one coefficient per commutative
     monomial a^m ad^(j+k-m); each of these j+k+1 monomials is then converted
-    with cg_weyl_monomial, and the converted monomials are summed into one dict.
+    with cg_weyl_monomial, scaled by its coefficient times the unit, and summed.
     """
     if j < 0 or k < 0:
         raise ValueError("powers must be nonnegative")
@@ -43,11 +43,11 @@ def weyl_via_cg(j: int, k: int) -> NormalPoly:
         for beta in range(k + 1):
             c = comb(j, alpha) * comb(k, beta)
             row[alpha + k - beta] += -c if (k - beta) % 2 else c
-    acc: dict = {}
+    total = NormalPoly()
     for m, c in enumerate(row):
         if c:
-            cg_weyl_monomial(m, n - m)._add_into(acc, c)
-    return NormalPoly(acc) * Scalar.weyl_unit(j, k)
+            total = total + cg_weyl_monomial(m, n - m) * Scalar.weyl_unit(j, k, c)
+    return total
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,6 @@ def blasiak_normal_order(x: BosonString) -> NormalPoly:
     fact = factorial(lo)
     for k in range(lo, hi + 1):
         if row[k]:  # a difference can vanish: ad a a ad has none at k = 0
-            terms[(d_m + k, k) if d_m >= 0 else (k, k - d_m)] = _make(row[k], 0, 0, 0, fact)
+            terms[(d_m + k, k) if d_m >= 0 else (k, k - d_m)] = _one(0, row[k], fact)
         fact *= k + 1
     return NormalPoly._of(terms)

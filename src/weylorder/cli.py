@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 cap exceeded.  Results go to stdout; the human-format header lines go to
-stderr so that stdout bytes are identical across equivalent methods.
+stderr so that stdout bytes are identical across equivalent methods.  `main`
+writes each handler's whole answer, so an error leaves stdout empty, and a
+reader that closes stdout early does not change the exit code.
 
 `COMMANDS` is the one grammar: each command's handler, help string,
 positionals and options.  `build_parser` hands it to argparse.  An argv of the
@@ -16,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
+from contextlib import suppress
 from functools import cache
 
 from .altroutes import blasiak_normal_order, blockify, weyl_via_cg
@@ -28,6 +32,7 @@ from .quantize import quantize_system
 from .scalar import Scalar
 from .textio import (ParseError, SystemFormatError, _frac_str, load_system, parse_boson_word,
                      render, scalar_fields, structured_terms)
+from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -76,32 +81,28 @@ def _check_degree(what: str, degree: int) -> None:
         raise CapExceededError(what, degree, MAX_DEGREE)
 
 
-def cmd_weyl(args) -> int:
+def cmd_weyl(args) -> tuple:
     _check_degree("weyl", args.j + args.k)
     poly = {"closed": weyl_normal_form, "brute": weyl_bruteforce, "forced": weyl_forced,
             "cg": weyl_via_cg}[args.method](args.j, args.k)
     if args.format == "structured":
-        print(json.dumps({"j": args.j, "k": args.k,
-                          "hbar_exponent_times_2": args.j + args.k,
-                          "terms": structured_terms(poly)}))
-    else:
-        print(f"# weyl j={args.j} k={args.k} method={args.method} "
-              f"hbar_exponent_times_2={args.j + args.k}", file=sys.stderr)
-        print(render(poly, args.format))
-    return EXIT_OK
+        return EXIT_OK, json.dumps({"j": args.j, "k": args.k,
+                                    "hbar_exponent_times_2": args.j + args.k,
+                                    "terms": structured_terms(poly)})
+    print(f"# weyl j={args.j} k={args.k} method={args.method} "
+          f"hbar_exponent_times_2={args.j + args.k}", file=sys.stderr)
+    return EXIT_OK, render(poly, args.format)
 
 
-def cmd_normal_order(args) -> int:
+def cmd_normal_order(args) -> tuple:
     word = parse_boson_word(args.expr, max_letters=MAX_WORD_LETTERS)
     rewrite = normal_order_word(word)
     blasiak = blasiak_normal_order(blockify(word))
     if rewrite != blasiak:
         print(f"error: rewrite and blasiak routes disagree on {_echo(args.expr)!r}",
               file=sys.stderr)
-        return EXIT_VERIFY
-    poly = rewrite if args.route == "rewrite" else blasiak
-    print(render(poly, args.format))
-    return EXIT_OK
+        return EXIT_VERIFY, None
+    return EXIT_OK, render(rewrite if args.route == "rewrite" else blasiak, args.format)
 
 
 def _coeff_rows(j: int, k: int, which: str) -> list:
@@ -115,63 +116,59 @@ def _coeff_rows(j: int, k: int, which: str) -> list:
     return [({"u": u, "v": v}, _frac_str(xi_factor(j, k, u, v))) for u, v in slots(j + k)]
 
 
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(args) -> tuple:
     _check_degree("coeffs", args.j + args.k)
     rows = _coeff_rows(args.j, args.k, args.which)
     if args.format == "structured":
-        print(json.dumps({"j": args.j, "k": args.k, "which": args.which, "rows": [
+        return EXIT_OK, json.dumps({"j": args.j, "k": args.k, "which": args.which, "rows": [
             {**keys, **(scalar_fields(value) if isinstance(value, Scalar)
                         else {"value": value})}
-            for keys, value in rows]}))
-        return EXIT_OK
+            for keys, value in rows]})
     print(f"# coeffs j={args.j} k={args.k} which={args.which}", file=sys.stderr)
     sep = " & " if args.format == "latex" else "  "
     eol = r" \\" if args.format == "latex" else ""
+    lines = []
     for keys, value in rows:
         if isinstance(value, Scalar):
             value = render(NormalPoly({(0, 0): value}), args.format)
-        print(sep.join(f"{name}={index}" for name, index in keys.items())
-              + f"{sep}{value}{eol}")
-    return EXIT_OK
+        lines.append(sep.join(f"{name}={index}" for name, index in keys.items())
+                     + f"{sep}{value}{eol}")
+    return EXIT_OK, "\n".join(lines)
 
 
-def cmd_quantize(args) -> int:
+def cmd_quantize(args) -> tuple:
     system = load_system(args.path)
     for j, k in [*system.qdot, *system.pdot]:
         _check_degree(f"quantize monomial q^{j} p^{k}", j + k)
     dyn = quantize_system(system)
     if args.format == "structured":
-        print(json.dumps({
+        return EXIT_OK, json.dumps({
             "qdot": {"terms": structured_terms(dyn.qdot_op)},
             "pdot": {"terms": structured_terms(dyn.pdot_op)},
             "hbar_note": list(dyn.hbar_note),
-        }))
-        return EXIT_OK
-    # both sides are rendered before either is printed, so a render error leaves stdout empty
-    qdot, pdot = render(dyn.qdot_op, args.format), render(dyn.pdot_op, args.format)
+        })
+    text = f"<q>' = {render(dyn.qdot_op, args.format)}\n<p>' = {render(dyn.pdot_op, args.format)}"
     print(f"# quantize {args.path}", file=sys.stderr)
-    print(f"<q>' = {qdot}\n<p>' = {pdot}")
     for note in dyn.hbar_note:
         print(f"# hbar_note side={note['side']} j={note['j']} k={note['k']} "
               f"exponent_times_2={note['hbar_exponent_times_2']}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK, text
 
 
-def cmd_check(args) -> int:
-    from .verify import run_checks
+def cmd_check(args) -> tuple:
     _check_degree("check --max", args.max_degree)
     report = run_checks(max_degree=args.max_degree, eta_cap=args.eta_cap)
+    lines = []
     for result in report.results:
-        status = "ok" if result.passed else "FAIL"
-        print(f"{result.name}: {result.cases} cases {status}")
+        lines.append(f"{result.name}: {result.cases} cases {'ok' if result.passed else 'FAIL'}")
         if not result.passed:
-            print(f"  witness: {result.witness}")
-    print("all checks passed" if report.ok else "verification FAILED")
-    return EXIT_OK if report.ok else EXIT_VERIFY
+            lines.append(f"  witness: {result.witness}")
+    lines.append("all checks passed" if report.ok else "verification FAILED")
+    return (EXIT_OK if report.ok else EXIT_VERIFY), "\n".join(lines)
 
 
-# Per command: the handler, the help string, the positionals as (dest, type) and
-# the options as {option string: (dest, type, choices, default)}, in help order.
+# Per command: the handler, returning (exit code, stdout text or None), the help string, the
+# positionals as (dest, type) and the options as {option: (dest, type, choices, default)}.
 _FORMAT = {"--format": ("format", str, ("plain", "latex", "structured"), "plain")}
 COMMANDS = {
     "weyl": (cmd_weyl, "Weyl ordering of q^j p^k in normal order",
@@ -249,14 +246,22 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return COMMANDS[args.command][0](args)
+        code, text = COMMANDS[args.command][0](args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ParseError, SystemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
+    try:
+        if text is not None:
+            print(text)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:  # the reader has gone after a whole answer, so the code stands
+        with suppress(AttributeError, OSError, ValueError):  # a StringIO has no file descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)  # the exit-time flush goes there
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

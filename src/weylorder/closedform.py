@@ -8,14 +8,15 @@ suite and by the `check` sweep.
 
 Every coefficient of one (j, k) is the unit i^k 2^{-(j+k)/2} times u!/2^u
 times an integer, so it sits in the one ring component the unit fills, and
-the table is built from one zeta row in ints.  `Scalar.weyl_unit(j, k)` is
-read once for that component, its sign and its denominator; row u shifts the
-denominator by u, and the int u! C(n-u-v, u) C(u+v, u) steps along the row by
-exact division.  `_slot_rows` yields each row as its int numerators over one
-denominator.  `h_slots` and `weyl_normal_form` build each slot's Scalar from
-(component, numerator, denominator) with one two-argument gcd, and
-`weyl_normal_form` builds none for a zero slot; `quantize` sums the rows of
-several monomials in ints before it builds any Scalar.
+the table is built from one zeta row in ints.  `scalar._weyl_unit_parts`
+gives that component, the unit's sign and its denominator, once per (j, k);
+row u shifts the denominator by u, and the int u! C(n-u-v, u) C(u+v, u)
+steps along the row by exact division.  `_slot_rows` yields each row as its
+int numerators over one denominator.  `h_slots` and `weyl_normal_form` build
+each slot's Scalar from (component, numerator, denominator) with one
+two-argument gcd, and `weyl_normal_form` builds none for a zero slot;
+`quantize` sums the rows of several monomials in ints before it builds any
+Scalar.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .poly import NormalPoly
-from .scalar import Scalar, _one
+from .scalar import Scalar, _one, _weyl_unit_parts
 
 
 def lambda_factor(j: int, k: int, u: int, v: int) -> int:
@@ -68,8 +69,6 @@ def _g(a: int, b: int) -> int:
 
 
 def _gamma(a: int, b: int) -> int:
-    if b < 0:
-        return 0
     return comb(a, b) if _g(a, b) else 0
 
 
@@ -109,15 +108,13 @@ def h_coeff(j: int, k: int, u: int, v: int) -> Scalar:
 def _slot_rows(j: int, k: int):
     """Yield (u, index, den, nums) once per row u, u ascending: h(j,k,u,v) is the unreduced
     nums[v]/den, v = 0..j+k-2u, in ring component `index`, the one component of
-    `Scalar.weyl_unit(j, k)`.
+    the unit i^k 2^{-(j+k)/2}.
     """
     if min(j, k) < 0:
         raise ValueError("indices must be nonnegative")
     n = j + k
     zeta = zeta_row(j, k)
-    *units, unit_den = Scalar.weyl_unit(j, k)._v
-    head = sum(units)  # the unit's one nonzero component, +-1
-    index = units.index(head)
+    index, head, unit_den = _weyl_unit_parts(j, k)
     for u in range(n // 2 + 1):
         if u:  # sign u! C(n-u, u) = sign (n-u)!/(n-2u)!, from row u-1
             head = head * (n - 2 * u + 2) * (n - 2 * u + 1) // (n - u + 1)

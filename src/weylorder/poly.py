@@ -11,14 +11,15 @@ only counts, and an a letter steps the list once.
 A NormalPoly holds no zero term.  `NormalPoly(...)` validates and prunes;
 `NormalPoly._of` takes its dict unchecked, so each builder that can cancel
 prunes its own terms (`+` and `-` per summed key, `*` once at the end, a
-scale by zero at once) and passes `_of` only nonzero Scalars.
+scale by zero at once) and passes `_of` only nonzero Scalars.  `+` is the one
+way to sum: a scaled sum scales each term with `*` first.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
 
-from .scalar import Scalar, _coerce, _make
+from .scalar import Scalar, _coerce, _one
 
 CREATE = "ad"
 ANNIHILATE = "a"
@@ -86,24 +87,15 @@ class NormalPoly:
         if not isinstance(other, NormalPoly):
             return NotImplemented
         acc = dict(self._terms)
-        other._add_into(acc)
-        return NormalPoly._of(acc)
-
-    def _add_into(self, acc: dict, factor: Fraction | int | None = None) -> None:
-        """Add self, times an optional nonzero rational factor, into the term dict acc in place.
-
-        A key whose sum cancels is deleted, so an acc of nonzero terms stays one.
-        """
-        for key, coeff in self._terms.items():
-            if factor is not None:
-                coeff = coeff._times_rational(factor)
+        for key, coeff in other._terms.items():
             prev = acc.get(key)
             if prev is None:
                 acc[key] = coeff
             elif coeff := prev + coeff:
                 acc[key] = coeff
-            else:
+            else:  # the sum cancels: no zero term is kept
                 del acc[key]
+        return NormalPoly._of(acc)
 
     def __neg__(self) -> "NormalPoly":
         return NormalPoly._of({key: -coeff for key, coeff in self._terms.items()})
@@ -189,7 +181,7 @@ def normal_order_word(word) -> NormalPoly:
     for letter in word:
         if letter not in (CREATE, ANNIHILATE):
             raise ValueError(f"not a boson letter: {letter!r}")
-    return NormalPoly._of({key: _make(c, 0, 0, 0, 1)
+    return NormalPoly._of({key: _one(0, c, 1)
                            for key, c in _normal_order_int(word).items()})
 
 

@@ -12,10 +12,12 @@ there is no approximate mode.
 The constructor `Scalar(...)` validates: each component goes through
 `_frac`, so an int, str or other exact rational is converted and a float or
 bool raises `TypeError`.  Text is parsed there and in `from_rational` only: a
-ring operator given a str raises `TypeError`, as it does a float.  Every ring
-operation builds its result through `_make`.  The components read back
-through the properties `x_re`, `x_im`, `y_re` and `y_im` as `Fraction`s; the
-renderers in `textio` skip them, and read the stored ints, reducing each
+ring operator given a str raises `TypeError`, as it does a float.  From ints,
+`_make` builds ring results and quantize's sums by one multi-argument gcd, and
+`_one` every one-component value by one two-argument gcd; `_weyl_unit_parts`
+alone knows the unit's component, sign and denominator.  The components read
+back through the properties `x_re`, `x_im`, `y_re` and `y_im` as `Fraction`s;
+the renderers in `textio` skip them, and read the stored ints, reducing each
 component n_i/d by one gcd.  A `Scalar` is immutable and hashes by its
 reduced form.
 """
@@ -74,21 +76,14 @@ class Scalar:
     @classmethod
     def from_rational(cls, value) -> "Scalar":
         value = _frac(value)
-        return _make(value.numerator, 0, 0, 0, value.denominator)
+        return _one(0, value.numerator, value.denominator)
 
     @classmethod
     def weyl_unit(cls, j: int, k: int, r=1) -> "Scalar":
-        """i^k 2^{-(j+k)/2} r for rational r, written into its one nonzero component.
-
-        2^{-n/2} is 1/2^(n/2) for even n and sqrt2/2^((n+1)/2) for odd n, and i^k
-        is one of 1, i, -1, -i, so the product has a single component +-r/2^m.
-        """
+        """i^k 2^{-(j+k)/2} r for rational r, written into its one nonzero component."""
         r = _frac(r)
-        n = j + k
-        num = -r.numerator if k % 4 >= 2 else r.numerator
-        nums = [0, 0, 0, 0]
-        nums[2 * (n % 2) + k % 2] = num
-        return _make(*nums, r.denominator << ((n + 1) // 2))
+        index, sign, den = _weyl_unit_parts(j, k)
+        return _one(index, sign * r.numerator, r.denominator * den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -184,6 +179,15 @@ def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> Scalar:
     self = _new(Scalar)
     _set_v(self, (n0, n1, n2, n3, d) if g == 1 else (n0 // g, n1 // g, n2 // g, n3 // g, d // g))
     return self
+
+
+def _weyl_unit_parts(j: int, k: int) -> tuple:
+    """(index, sign, den): the unit i^k 2^{-(j+k)/2} is sign/den in component `index`.
+
+    2^{-n/2} is 1/2^(n/2) for even n and sqrt2/2^((n+1)/2) for odd n; i^k is +-1 or +-i.
+    """
+    n = j + k
+    return 2 * (n % 2) + k % 2, -1 if k % 4 >= 2 else 1, 1 << ((n + 1) // 2)
 
 
 def _one(index: int, num: int, den: int) -> Scalar:

@@ -224,15 +224,15 @@ def eta_sum_by_permutations(j, k, u, v):
 def weyl_by_cg_monomials(j, k):
     """The cg route term by term: C(j,alpha) C(k,beta) (-1)^(k-beta) {a^m ad^n}_W, unit applied.
 
-    One converted bracket per (alpha, beta), each scaled by a Fraction, with
-    m = alpha + k - beta and n = j - alpha + beta.
+    One converted bracket per (alpha, beta), each scaled by a Fraction with `*`
+    and summed with `+`, with m = alpha + k - beta and n = j - alpha + beta.
     """
-    acc = {}
+    total = NormalPoly()
     for alpha in range(j + 1):
         for beta in range(k + 1):
             c = comb(j, alpha) * comb(k, beta) * (-1) ** (k - beta)
-            cg_weyl_monomial(alpha + k - beta, j - alpha + beta)._add_into(acc, Fraction(c))
-    return NormalPoly(acc) * Scalar.weyl_unit(j, k)
+            total = total + cg_weyl_monomial(alpha + k - beta, j - alpha + beta) * Fraction(c)
+    return total * Scalar.weyl_unit(j, k)
 
 
 def quantize_by_polys(side):

@@ -329,6 +329,59 @@ def test_quantize_deeply_nested(capsys, tmp_path):
         assert "nested too deeply" in err and len(err.splitlines()) == 1
 
 
+ENTRY = {"j": 1, "k": 0, "coeff": "1"}
+
+
+# a system document, or None for a file that is not there, and the words stderr must hold
+@pytest.mark.parametrize("document, named", [
+    ([ENTRY], "document root"),
+    ({"qdot": ENTRY, "pdot": []}, "field 'qdot' must be an array"),
+    ({"qdot": [], "pdot": [ENTRY, 3]}, "pdot[1]: entry must be an object"),
+    ({"qdot": [{"j": 1, "coeff": "1"}], "pdot": []}, "qdot[0]: missing field 'k'"),
+    ({"qdot": [{**ENTRY, "j": 1.0}], "pdot": []}, "qdot[0]: j and k must be integers"),
+    ({"qdot": [], "pdot": [{**ENTRY, "k": True}]}, "pdot[0]: j and k must be integers"),
+    (None, "No such file"),
+], ids=["root", "side", "entry", "field", "float", "bool", "missing"])
+def test_system_file_errors(capsys, tmp_path, document, named):
+    path = tmp_path / "system.json"
+    if document is not None:
+        path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "quantize", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and named in err and len(err.splitlines()) == 1
+
+
+def test_closed_stdout_is_not_an_error():
+    # 705 KB of answer, past the pipe buffer: the write fails after the reader has gone
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.Popen([sys.executable, "-m", "weylorder.cli", "weyl", "100", "100"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head == b"(1/1267650"
+    assert err == b"# weyl j=100 k=100 method=closed hbar_exponent_times_2=200\n"
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_keeps_the_check_verdict(monkeypatch):
+    corrupt_at(monkeypatch, *FAILING_CHECKS[0][:3])
+    err = io.StringIO()
+    for argv, code in ((["check", "--max", "3"], 1), (["weyl", "1", "1"], 0)):
+        with redirect_stdout(ClosedStdout()), redirect_stderr(err):
+            assert main(argv) == code
+    assert err.getvalue() == "# weyl j=1 k=1 method=closed hbar_exponent_times_2=2\n"
+
+
 def test_check_passes(capsys):
     code, out, _ = run(capsys, "check", "--max", "4")
     assert code == 0

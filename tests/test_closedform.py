@@ -4,11 +4,11 @@ from math import comb
 import pytest
 
 from weylorder import closedform
-from weylorder.altroutes import weyl_via_cg
+from weylorder.altroutes import cg_weyl_monomial, weyl_via_cg
 from weylorder.closedform import (h_coeff, h_slots, lambda_factor, slots,
                                   symmetry_report, weyl_normal_form, xi_factor,
                                   zeta_gamma, zeta_poly, zeta_range, zeta_row, zeta_sum)
-from weylorder.enumeration import weyl_bruteforce
+from weylorder.enumeration import distinct_orderings, eta_decomposition_check, weyl_bruteforce
 from weylorder.poly import NormalPoly
 from weylorder.scalar import Scalar
 from weylorder.verify import run_checks
@@ -213,3 +213,15 @@ def test_h_coeff_range_checks():
         h_coeff(1, 0, 1, 1)
     with pytest.raises(ValueError):
         xi_factor(1, 0, 1, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: h_coeff(-1, 2, 0, 0), "nonnegative"),
+    (lambda: lambda_factor(1, 0, 1, 1), "u\\+v exceeds"),
+    (lambda: cg_weyl_monomial(2, -1), "nonnegative"),
+    (lambda: list(distinct_orderings(-1, 2)), "nonnegative"),
+    (lambda: eta_decomposition_check(1, 0, 1, 0), "2u\\+v exceeds"),
+], ids=["h_coeff", "lambda_factor", "cg_weyl_monomial", "distinct_orderings", "eta"])
+def test_range_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -85,6 +85,20 @@ def test_no_builder_leaves_a_zero_term():
     assert not all(h for _, _, h in h_slots(3, 5))
 
 
+def test_foreign_operands_and_letters():
+    p = NormalPoly({(1, 1): Fraction(1, 2), (0, 0): 1})
+    for other in (1, Scalar(1), "ad a", None):
+        assert p.__eq__(other) is NotImplemented and p != other
+    # equal polys hash equal, however they were built
+    same = NormalPoly({(0, 0): Scalar(1)}) + NormalPoly({(1, 1): Scalar(Fraction(1, 2))})
+    assert same == p and hash(same) == hash(p) and len({p, same}) == 1
+    assert hash(weyl_via_cg(3, 2)) == hash(weyl_normal_form(3, 2))
+    for build, word, message in ((normal_order_word, (CREATE, Q), "not a boson letter"),
+                                 (expand_qp_word, (Q, ANNIHILATE), "not a q/p letter")):
+        with pytest.raises(ValueError, match=message):
+            build(word)
+
+
 def test_normal_order_word_basics():
     assert normal_order_word([ANNIHILATE, CREATE]) == NormalPoly({(1, 1): 1, (0, 0): 1})
     assert normal_order_word([]) == NormalPoly.one()

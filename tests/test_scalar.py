@@ -216,6 +216,13 @@ def test_mul_rejects_float_and_bool():
             rational(1, 2) * bad
 
 
+def test_equality_with_another_type():
+    # a Scalar equals only a Scalar: the int 1 and the rational 1/2 are no exception
+    for value, other in ((Scalar(1), 1), (rational(1, 2), Fraction(1, 2)), (Scalar(1), "1"),
+                         (Scalar(), 0), (Scalar(), None)):
+        assert value.__eq__(other) is NotImplemented and value != other
+
+
 def test_operators_reject_text():
     # text is parsed by the constructors only; each of these used to parse its str silently
     from weylorder.poly import NormalPoly

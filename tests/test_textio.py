@@ -98,6 +98,8 @@ def test_render_plain():
     assert render(NormalPoly()) == "0"
     assert render(normal_order_word((ANNIHILATE, CREATE))) == "ad a + 1"
     assert render(NormalPoly({(0, 0): Scalar(x_re=1, y_re=1)})) == "(1 + sqrt2)"
+    with pytest.raises(ValueError, match="unknown format 'html'"):
+        render(NormalPoly.one(), "html")
 
 
 def test_render_past_the_digit_limit():
