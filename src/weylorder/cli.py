@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 cap exceeded.  Results go to stdout; the human-format header lines go to
-stderr so that stdout bytes are identical across equivalent methods.  `main`
-writes each handler's whole answer, so an error leaves stdout empty, and a
-reader that closes stdout early does not change the exit code.
+stderr so that stdout bytes are identical across equivalent methods.  A
+handler writes nothing: it returns (exit code, stdout text or None, stderr text
+or None), and `main` alone writes and flushes both streams, so an error leaves
+stdout empty and a stream that cannot be written does not change the exit code.
 
 `COMMANDS` is the one grammar: each command's handler, help string,
 positionals and options.  `build_parser` hands it to argparse.  An argv of the
@@ -82,16 +83,15 @@ def _check_degree(what: str, degree: int) -> None:
 
 
 def cmd_weyl(args) -> tuple:
-    _check_degree("weyl", args.j + args.k)
+    n = args.j + args.k
+    _check_degree("weyl", n)
     poly = {"closed": weyl_normal_form, "brute": weyl_bruteforce, "forced": weyl_forced,
             "cg": weyl_via_cg}[args.method](args.j, args.k)
     if args.format == "structured":
-        return EXIT_OK, json.dumps({"j": args.j, "k": args.k,
-                                    "hbar_exponent_times_2": args.j + args.k,
-                                    "terms": structured_terms(poly)})
-    print(f"# weyl j={args.j} k={args.k} method={args.method} "
-          f"hbar_exponent_times_2={args.j + args.k}", file=sys.stderr)
-    return EXIT_OK, render(poly, args.format)
+        return EXIT_OK, json.dumps({"j": args.j, "k": args.k, "hbar_exponent_times_2": n,
+                                    "terms": structured_terms(poly)}), None
+    return EXIT_OK, render(poly, args.format), (
+        f"# weyl j={args.j} k={args.k} method={args.method} hbar_exponent_times_2={n}")
 
 
 def cmd_normal_order(args) -> tuple:
@@ -99,10 +99,9 @@ def cmd_normal_order(args) -> tuple:
     rewrite = normal_order_word(word)
     blasiak = blasiak_normal_order(blockify(word))
     if rewrite != blasiak:
-        print(f"error: rewrite and blasiak routes disagree on {_echo(args.expr)!r}",
-              file=sys.stderr)
-        return EXIT_VERIFY, None
-    return EXIT_OK, render(rewrite if args.route == "rewrite" else blasiak, args.format)
+        return EXIT_VERIFY, None, (
+            f"error: rewrite and blasiak routes disagree on {_echo(args.expr)!r}")
+    return EXIT_OK, render(rewrite if args.route == "rewrite" else blasiak, args.format), None
 
 
 def _coeff_rows(j: int, k: int, which: str) -> list:
@@ -123,17 +122,15 @@ def cmd_coeffs(args) -> tuple:
         return EXIT_OK, json.dumps({"j": args.j, "k": args.k, "which": args.which, "rows": [
             {**keys, **(scalar_fields(value) if isinstance(value, Scalar)
                         else {"value": value})}
-            for keys, value in rows]})
-    print(f"# coeffs j={args.j} k={args.k} which={args.which}", file=sys.stderr)
-    sep = " & " if args.format == "latex" else "  "
-    eol = r" \\" if args.format == "latex" else ""
+            for keys, value in rows]}), None
+    sep, eol = (" & ", r" \\") if args.format == "latex" else ("  ", "")
     lines = []
     for keys, value in rows:
         if isinstance(value, Scalar):
             value = render(NormalPoly({(0, 0): value}), args.format)
         lines.append(sep.join(f"{name}={index}" for name, index in keys.items())
                      + f"{sep}{value}{eol}")
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, "\n".join(lines), f"# coeffs j={args.j} k={args.k} which={args.which}"
 
 
 def cmd_quantize(args) -> tuple:
@@ -146,13 +143,11 @@ def cmd_quantize(args) -> tuple:
             "qdot": {"terms": structured_terms(dyn.qdot_op)},
             "pdot": {"terms": structured_terms(dyn.pdot_op)},
             "hbar_note": list(dyn.hbar_note),
-        })
+        }), None
     text = f"<q>' = {render(dyn.qdot_op, args.format)}\n<p>' = {render(dyn.pdot_op, args.format)}"
-    print(f"# quantize {args.path}", file=sys.stderr)
-    for note in dyn.hbar_note:
-        print(f"# hbar_note side={note['side']} j={note['j']} k={note['k']} "
-              f"exponent_times_2={note['hbar_exponent_times_2']}", file=sys.stderr)
-    return EXIT_OK, text
+    return EXIT_OK, text, "\n".join([f"# quantize {args.path}", *(
+        f"# hbar_note side={note['side']} j={note['j']} k={note['k']} "
+        f"exponent_times_2={note['hbar_exponent_times_2']}" for note in dyn.hbar_note)])
 
 
 def cmd_check(args) -> tuple:
@@ -164,11 +159,11 @@ def cmd_check(args) -> tuple:
         if not result.passed:
             lines.append(f"  witness: {result.witness}")
     lines.append("all checks passed" if report.ok else "verification FAILED")
-    return (EXIT_OK if report.ok else EXIT_VERIFY), "\n".join(lines)
+    return (EXIT_OK if report.ok else EXIT_VERIFY), "\n".join(lines), None
 
 
-# Per command: the handler, returning (exit code, stdout text or None), the help string, the
-# positionals as (dest, type) and the options as {option: (dest, type, choices, default)}.
+# Per command: the handler, returning (exit code, stdout text or None, stderr text or None), the
+# help string, positionals as (dest, type) and options as {option: (dest, type, choices, default)}.
 _FORMAT = {"--format": ("format", str, ("plain", "latex", "structured"), "plain")}
 COMMANDS = {
     "weyl": (cmd_weyl, "Weyl ordering of q^j p^k in normal order",
@@ -237,30 +232,26 @@ def _quick_args(argv):
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _quick_args(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        code, text = COMMANDS[args.command][0](args)
+        args = _quick_args(argv) or build_parser().parse_args(argv)
+        code, out, err = COMMANDS[args.command][0](args)
+    except SystemExit as exc:  # argparse has left its help or usage text in the streams
+        code, out, err = (EXIT_USAGE if exc.code not in (0, None) else EXIT_OK), None, None
     except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (ParseError, SystemFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if text is not None:
-            print(text)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
-    except BrokenPipeError:  # the reader has gone after a whole answer, so the code stands
-        with suppress(AttributeError, OSError, ValueError):  # a StringIO has no file descriptor
-            fd = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)  # the exit-time flush goes there
+        code, out, err = EXIT_CAP, None, f"error: {exc}"
+    except (ParseError, SystemFormatError, OSError) as exc:  # OSError: load_system's file
+        code, out, err = EXIT_USAGE, None, f"error: {exc}"
+    for stream, text in ((sys.stderr, err), (sys.stdout, out)):
+        if stream is None:  # its descriptor was closed before the interpreter started
+            continue
+        try:
+            if text is not None:
+                stream.write(text + "\n")
+            stream.flush()  # a stream that cannot be written fails here, not at interpreter exit
+        except OSError:  # the code stands, and the exit-time flush goes to os.devnull
+            with suppress(AttributeError, OSError, ValueError):  # a StringIO has no descriptor
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 if __name__ == "__main__":

@@ -43,13 +43,20 @@ def xi_factor(j: int, k: int, u: int, v: int) -> Fraction:
                     2 ** u * factorial(u) * factorial(v) * factorial(j + k - 2 * u - v))
 
 
+def _check_indices(*indices: int) -> None:
+    if min(indices) < 0:
+        raise ValueError("indices must be nonnegative")
+
+
 def zeta_sum(j: int, k: int, t: int) -> int:
     """Alternating-sign Vandermonde convolution sum."""
+    _check_indices(j, k)
     return sum((-1) ** m * comb(j, t - m) * comb(k, m) for m in range(t + 1))
 
 
 def zeta_row(j: int, k: int) -> list:
     """Coefficients of (1+x)^j (1-x)^k, by exact expansion: entry t is zeta(j, k, t)."""
+    _check_indices(j, k)
     coeffs = [1]
     for _ in range(j):
         coeffs = [a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
@@ -74,11 +81,13 @@ def _gamma(a: int, b: int) -> int:
 
 def zeta_gamma(j: int, k: int, t: int) -> int:
     """The guard-function form of the convolution (derivation route)."""
+    _check_indices(j, k)
     return sum((-1) ** m * _gamma(j, t - m) * _gamma(k, m) for m in range(t + 1))
 
 
 def zeta_range(j: int, k: int, t: int) -> int:
     """Nonzero-contribution range form: m from max(0, t-j) to min(k, t)."""
+    _check_indices(j, k)
     return sum((-1) ** m * comb(j, t - m) * comb(k, m)
                for m in range(max(0, t - j), min(k, t) + 1))
 
@@ -96,8 +105,7 @@ def h_coeff(j: int, k: int, u: int, v: int) -> Scalar:
     It is the unit over 2^u times u! C(n-u-v, u) C(u+v, u) zeta(j, k, u+v), n = j+k, with
     factorial and comb, and with zeta from the nonzero-range sum, not the row `h_slots` expands.
     """
-    if min(j, k, u, v) < 0:
-        raise ValueError("indices must be nonnegative")
+    _check_indices(j, k, u, v)
     if 2 * u + v > j + k:
         raise ValueError("2u+v exceeds j+k")
     unit = Scalar.weyl_unit(j, k, Fraction(1, 1 << u))
@@ -108,10 +116,8 @@ def h_coeff(j: int, k: int, u: int, v: int) -> Scalar:
 def _slot_rows(j: int, k: int):
     """Yield (u, index, den, nums) once per row u, u ascending: h(j,k,u,v) is the unreduced
     nums[v]/den, v = 0..j+k-2u, in ring component `index`, the one component of
-    the unit i^k 2^{-(j+k)/2}.
+    the unit i^k 2^{-(j+k)/2}; zeta_row rejects a negative index.
     """
-    if min(j, k) < 0:
-        raise ValueError("indices must be nonnegative")
     n = j + k
     zeta = zeta_row(j, k)
     index, head, unit_den = _weyl_unit_parts(j, k)

@@ -35,6 +35,8 @@ class NormalPoly:
     def __init__(self, terms=None):
         clean = {}
         for (m, n), coeff in (terms or {}).items():
+            if m.__class__ is not int or n.__class__ is not int:  # no bool, float or str
+                raise ValueError(f"operator powers must be integers in term ({m!r}, {n!r})")
             if m < 0 or n < 0:
                 raise ValueError(f"negative operator power in term ({m}, {n})")
             if coeff.__class__ is not Scalar:  # an int, Fraction or str, parsed here

@@ -351,27 +351,72 @@ def test_system_file_errors(capsys, tmp_path, document, named):
     assert err.startswith("error: ") and named in err and len(err.splitlines()) == 1
 
 
-# 705 KB of answer, past the pipe buffer, fails in print after 10 bytes are read; a small
-# answer whose reader is gone before the process starts fails in the flush of main, and
-# only stdout's descriptor pointed at os.devnull lets the exit-time flush succeed
-@pytest.mark.parametrize("j, head", [("100", b"(1/1267650"), ("1", b"")],
-                         ids=["after-10-bytes", "before-the-first-byte"])
-def test_closed_stdout_is_not_an_error(j, head):
+def src_env(**extra) -> dict:
+    """os.environ with this checkout's src first on PYTHONPATH, plus `extra`."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as an interpreter has it by default
-    proc = subprocess.Popen([sys.executable, "-m", "weylorder.cli", "weyl", j, j],
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+
+
+# argv, the stream whose reader is gone, the bytes read from it before it closes, the exit
+# code.  705 KB of answer, past the pipe buffer, fails in the write after 10 bytes are read;
+# a small answer or help text whose reader is gone before the process starts fails in the
+# flush of main, and only that stream's descriptor pointed at os.devnull lets the exit-time
+# flush succeed
+CLOSED_STREAM = {
+    "after-10-bytes": (["weyl", "100", "100"], "stdout", b"(1/1267650", 0),
+    "before-the-first-byte": (["weyl", "1", "1"], "stdout", b"", 0),
+    "help": (["--help"], "stdout", b"", 0),
+    "stderr": (["weyl", "1", "1"], "stderr", b"", 0),
+    "stderr-coeffs": (["coeffs", "2", "2"], "stderr", b"", 0),
+    "stderr-cap": (["weyl", "1000000000", "0"], "stderr", b"", 3),
+    "stderr-usage": (["weyl", "x", "1"], "stderr", b"", 2),
+}
+
+
+# each case block-buffered, as an interpreter has it by default, and with PYTHONUNBUFFERED set
+@pytest.mark.parametrize("case, unbuffered",
+                         [(case, unbuffered) for case in CLOSED_STREAM for unbuffered in (0, 1)],
+                         ids=[case + "-unbuffered" * unbuffered
+                              for case in CLOSED_STREAM for unbuffered in (0, 1)])
+def test_closed_stdout_is_not_an_error(capsys, monkeypatch, case, unbuffered):
+    argv, closed, head, code = CLOSED_STREAM[case]
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width in both processes
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    env = src_env(COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "weylorder.cli", *argv],
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.read(len(head)) == head
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 0
-    assert err == f"# weyl j={j} k={j} method=closed hbar_exponent_times_2={2 * int(j)}\n".encode()
+    gone, kept = (proc.stdout, proc.stderr) if closed == "stdout" else (proc.stderr, proc.stdout)
+    assert gone.read(len(head)) == head
+    gone.close()
+    text = kept.read().decode()
+    kept.close()
+    assert proc.wait(timeout=60) == code
+    # the open stream holds the whole answer or message, and no traceback
+    assert text == expected[2 if closed == "stdout" else 1]
+    assert "Traceback" not in text and "Exception ignored" not in text
 
 
-class ClosedStdout(io.StringIO):
-    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+# a descriptor closed before the interpreter starts: Python sets that stream to None
+@pytest.mark.parametrize("closing", [">&-", "2>&-"])
+@pytest.mark.parametrize("argv", [["check", "--max", "1"], ["weyl", "3", "3"]],
+                         ids=["check", "weyl"])
+def test_closed_descriptor_is_not_an_error(capsys, closing, argv):
+    expected = run(capsys, *argv)
+    done = subprocess.run(["sh", "-c", f'"$@" {closing}', "sh",
+                           sys.executable, "-m", "weylorder.cli", *argv],
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    # the stream left open holds what it holds when both are open
+    assert (done.stdout, done.stderr) == (("", expected[2]) if closing == ">&-"
+                                          else (expected[1], ""))
+
+
+class ClosedStream(io.StringIO):
+    """A stream whose reader has gone: every write raises BrokenPipeError."""
 
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
@@ -381,9 +426,16 @@ def test_closed_stdout_keeps_the_check_verdict(monkeypatch):
     corrupt_at(monkeypatch, *FAILING_CHECKS[0][:3])
     err = io.StringIO()
     for argv, code in ((["check", "--max", "3"], 1), (["weyl", "1", "1"], 0)):
-        with redirect_stdout(ClosedStdout()), redirect_stderr(err):
+        with redirect_stdout(ClosedStream()), redirect_stderr(err):
             assert main(argv) == code
     assert err.getvalue() == "# weyl j=1 k=1 method=closed hbar_exponent_times_2=2\n"
+    # a closed stderr changes neither the code nor stdout
+    for argv, code, answer in ((["check", "--max", "3"], 1, "verification FAILED\n"),
+                               (["weyl", "1", "1"], 0, "(i/2) ad^2 - (i/2) a^2\n")):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(ClosedStream()):
+            assert main(argv) == code
+        assert out.getvalue().endswith(answer)
 
 
 def test_check_passes(capsys):
@@ -518,9 +570,7 @@ def test_check_stops_at_first_failure(capsys, monkeypatch, name, bad, corrupt):
 
 
 def fresh_process(*argv):
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    done = subprocess.run([sys.executable, "-m", "weylorder.cli", *argv], env=env,
+    done = subprocess.run([sys.executable, "-m", "weylorder.cli", *argv], env=src_env(),
                           capture_output=True, text=True, timeout=60)
     return done.returncode, done.stdout
 

@@ -221,7 +221,18 @@ def test_h_coeff_range_checks():
     (lambda: cg_weyl_monomial(2, -1), "nonnegative"),
     (lambda: list(distinct_orderings(-1, 2)), "nonnegative"),
     (lambda: eta_decomposition_check(1, 0, 1, 0), "2u\\+v exceeds"),
-], ids=["h_coeff", "lambda_factor", "cg_weyl_monomial", "distinct_orderings", "eta"])
+    (lambda: zeta_row(-1, 2), "indices must be nonnegative"),
+    (lambda: zeta_poly(-1, 2, 1), "indices must be nonnegative"),
+    (lambda: zeta_sum(-1, 2, 1), "indices must be nonnegative"),
+    (lambda: zeta_gamma(2, -1, 1), "indices must be nonnegative"),
+    (lambda: zeta_range(-1, 2, 1), "indices must be nonnegative"),
+], ids=["h_coeff", "lambda_factor", "cg_weyl_monomial", "distinct_orderings", "eta",
+        "zeta_row", "zeta_poly", "zeta_sum", "zeta_gamma", "zeta_range"])
 def test_range_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_zeta_at_negative_t_is_zero():
+    # a negative index is an error, a negative t only lies outside the row
+    assert {zeta(2, 1, -1) for zeta in (zeta_poly, zeta_sum, zeta_gamma, zeta_range)} == {0}

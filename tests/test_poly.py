@@ -191,5 +191,9 @@ def test_term_order():
 
 
 def test_negative_powers_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative operator power"):
         NormalPoly({(-1, 0): 1})
+    # a bool, float or str power is no power: ad^1.5, (True, 1) read as ad a, or a str compare
+    for key in ((1.5, 0), (True, 1), ("2", 0), (0, 2.0)):
+        with pytest.raises(ValueError, match="operator powers must be integers"):
+            NormalPoly({key: 1})
