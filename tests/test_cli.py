@@ -351,10 +351,10 @@ def test_system_file_errors(capsys, tmp_path, document, named):
     assert err.startswith("error: ") and named in err and len(err.splitlines()) == 1
 
 
-def src_env(**extra) -> dict:
-    """os.environ with this checkout's src first on PYTHONPATH, plus `extra`."""
+def src_env() -> dict:
+    """os.environ with this checkout's src first on PYTHONPATH."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 # argv, the stream whose reader is gone, the bytes read from it before it closes, the exit
@@ -374,16 +374,15 @@ CLOSED_STREAM = {
 
 
 # each case block-buffered, as an interpreter has it by default, and with PYTHONUNBUFFERED set
-@pytest.mark.parametrize("case, unbuffered",
-                         [(case, unbuffered) for case in CLOSED_STREAM for unbuffered in (0, 1)],
-                         ids=[case + "-unbuffered" * unbuffered
-                              for case in CLOSED_STREAM for unbuffered in (0, 1)])
+@pytest.mark.parametrize("case, unbuffered", [
+    pytest.param(case, unbuffered, id=case + "-unbuffered" * unbuffered)
+    for case in CLOSED_STREAM for unbuffered in (0, 1)])
 def test_closed_stdout_is_not_an_error(capsys, monkeypatch, case, unbuffered):
     argv, closed, head, code = CLOSED_STREAM[case]
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width in both processes
     expected = run(capsys, *argv)
     assert expected[0] == code
-    env = src_env(COLUMNS="80")
+    env = {**src_env(), "COLUMNS": "80"}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -400,19 +399,20 @@ def test_closed_stdout_is_not_an_error(capsys, monkeypatch, case, unbuffered):
     assert "Traceback" not in text and "Exception ignored" not in text
 
 
-# a descriptor closed before the interpreter starts: Python sets that stream to None
-@pytest.mark.parametrize("closing", [">&-", "2>&-"])
+# a descriptor closed before the interpreter starts (Python sets that stream to None), or
+# open for reading only (every write fails with EBADF)
+@pytest.mark.parametrize("redirect", [">&-", "2>&-", "1</dev/null", "2</dev/null"])
 @pytest.mark.parametrize("argv", [["check", "--max", "1"], ["weyl", "3", "3"]],
                          ids=["check", "weyl"])
-def test_closed_descriptor_is_not_an_error(capsys, closing, argv):
+def test_closed_descriptor_is_not_an_error(capsys, redirect, argv):
     expected = run(capsys, *argv)
-    done = subprocess.run(["sh", "-c", f'"$@" {closing}', "sh",
+    done = subprocess.run(["sh", "-c", f'"$@" {redirect}', "sh",
                            sys.executable, "-m", "weylorder.cli", *argv],
                           env=src_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     # the stream left open holds what it holds when both are open
-    assert (done.stdout, done.stderr) == (("", expected[2]) if closing == ">&-"
-                                          else (expected[1], ""))
+    stdout_gone = redirect[0] in ">1"  # the redirect names fd 1, else fd 2
+    assert (done.stdout, done.stderr) == (("", expected[2]) if stdout_gone else (expected[1], ""))
 
 
 class ClosedStream(io.StringIO):
