@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 cap exceeded.  Results go to stdout; the human-format header lines go to
 stderr so that stdout bytes are identical across equivalent methods.  A
 handler writes nothing: it returns (exit code, stdout text or None, stderr text
-or None), and `main` alone writes and flushes both streams, so an error leaves
-stdout empty and a stream that cannot be written does not change the exit code.
+or None), and `main` alone writes and flushes both streams, argparse's help and
+usage text included, so an error leaves stdout empty and a stream that cannot be
+written does not change the exit code.
 
 `COMMANDS` is the one grammar: each command's handler, help string,
 positionals and options.  `build_parser` hands it to argparse.  An argv of the
@@ -18,11 +19,12 @@ help text and usage errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
 import sys
-from contextlib import suppress
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from functools import cache
 
 from .altroutes import blasiak_normal_order, blockify, weyl_via_cg
@@ -234,10 +236,14 @@ def _quick_args(argv):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _quick_args(argv) or build_parser().parse_args(argv)
+        args = _quick_args(argv)
+        if args is None:  # argparse's help and usage text is caught here for the writer below
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+                args = build_parser().parse_args(argv)
         code, out, err = COMMANDS[args.command][0](args)
-    except SystemExit as exc:  # argparse has left its help or usage text in the streams
-        code, out, err = (EXIT_USAGE if exc.code not in (0, None) else EXIT_OK), None, None
+    except SystemExit as exc:  # parse_args has put help (exit 0) or a usage error in out, err
+        code = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        out, err = (text.getvalue().removesuffix("\n") or None for text in (out, err))
     except CapExceededError as exc:
         code, out, err = EXIT_CAP, None, f"error: {exc}"
     except (ParseError, SystemFormatError, OSError) as exc:  # OSError: load_system's file

@@ -1,10 +1,12 @@
 """Boson-word parsing, system-file ingestion and deterministic rendering.
 
 Grammar notes: a boson word is a product of factors "a" and "ad" (the
-creation operator, spelled in ASCII; the LaTeX renderer restores the dagger).
+creation operator, spelled in ASCII; LaTeX output restores the dagger).
 A factor may carry a power "^N" with N a nonnegative integer and may be
 followed by "*"; blanks may stand between any two parts.  Exact rationals
 num or num/den appear only as system-file coefficients; decimals are rejected.
+
+Plain and LaTeX output share one formatter; a row of `_SPELLINGS` spells each format.
 """
 from __future__ import annotations
 
@@ -92,69 +94,59 @@ def _frac_str(f: Fraction) -> str:
     return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
 
 
-def _component_plain(num: int, den: int, symbol: str) -> str:
-    digits = _digits(abs(num))
-    if symbol:
-        head = symbol if digits == "1" else f"{digits}*{symbol}"
-    else:
-        head = digits
-    return head if den == 1 else f"{head}/{_digits(den)}"
+# Each format's spelling of each piece, one row per format: the symbols of 1, i, sqrt2 and
+# i*sqrt2; the joint of digits and symbol; the text before, between and after a fraction's
+# numerator and denominator; ad, and the text before and after m in ad^m; the same for a^n;
+# the joint of operators, and of a coefficient and its operators; a coefficient's bracket.
+_SPELLINGS = {
+    "plain": (("", "i", "sqrt2", "i*sqrt2"), "*", "", "/", "", "ad", "ad^", "",
+              "a", "a^", "", " ", "(", ")"),
+    "latex": (("", "i", r"\sqrt{2}", r"i\sqrt{2}"), "", r"\frac{", "}{", "}",
+              r"\hat{a}^{\dagger}", r"\hat{a}^{\dagger ", "}", r"\hat{a}", r"\hat{a}^{", "}",
+              "", r"\left(", r"\right)"),
+}
 
 
-def _component_latex(num: int, den: int, symbol: str) -> str:
-    digits = _digits(abs(num))
-    if symbol:
-        head = symbol if digits == "1" else f"{digits}{symbol}"
-    else:
-        head = digits
-    if den == 1:
-        return head
-    return rf"\frac{{{head}}}{{{_digits(den)}}}"
+def _formatter(symbols, joint, before, between, after, ad, ad_before, ad_after,
+               a, a_before, a_after, space, left, right):
+    """(component(num, den, index), term(m, n), space, left, right) of one row."""
+    def component(num: int, den: int, index: int) -> str:
+        head = _digits(abs(num))
+        if index:
+            head = symbols[index] if head == "1" else f"{head}{joint}{symbols[index]}"
+        return head if den == 1 else f"{before}{head}{between}{_digits(den)}{after}"
+
+    def term(m: int, n: int) -> str:
+        head = (ad if m == 1 else f"{ad_before}{m}{ad_after}") if m else ""
+        tail = (a if n == 1 else f"{a_before}{n}{a_after}") if n else ""
+        return f"{head}{space}{tail}" if m and n else head or tail
+
+    return component, term, space, left, right
 
 
-_PLAIN_SYMBOLS = ("", "i", "sqrt2", "i*sqrt2")
-_LATEX_SYMBOLS = ("", "i", r"\sqrt{2}", r"i\sqrt{2}")
+_FORMATS = {name: _formatter(*row) for name, row in _SPELLINGS.items()}
 
 
-def _scalar_text(c: Scalar, latex: bool):
+def _scalar_text(c: Scalar, component):
     """Return (magnitude_text, negated_for_display, is_bare_positive_integer).
 
-    A value of one nonzero component n/d is already reduced and is formatted as it
-    is stored; every Weyl coefficient is one.  Otherwise each nonzero component n_i/d
-    is reduced by one gcd to the formatter's (num, den).
+    component is the component formatter of a _FORMATS row.  A value of one nonzero
+    component n/d is already reduced and is formatted as it is stored; every Weyl
+    coefficient is one.  Otherwise each nonzero component n_i/d is reduced by one gcd.
     """
-    symbols = _LATEX_SYMBOLS if latex else _PLAIN_SYMBOLS
-    fmt = _component_latex if latex else _component_plain
     *nums, d = c._v
     if nums.count(0) == 3:
         num = sum(nums)
-        symbol = symbols[nums.index(num)]
-        return fmt(num, d, symbol), num < 0, not symbol and d == 1
-    pieces = [(n // (g := gcd(n, d)), d // g, s) for n, s in zip(nums, symbols) if n]
-    num, den, symbol = pieces[0]
+        index = nums.index(num)
+        return component(num, d, index), num < 0, not index and d == 1
+    pieces = [(n // (g := gcd(n, d)), d // g, i) for i, n in enumerate(nums) if n]
+    num, den, index = pieces[0]
     negated = num < 0
     # the component texts carry no sign; each sign is read relative to the lead's
-    body = fmt(num, den, symbol)
-    for num, den, symbol in pieces[1:]:
-        body += (" - " if (num < 0) != negated else " + ") + fmt(num, den, symbol)
+    body = component(num, den, index)
+    for num, den, index in pieces[1:]:
+        body += (" - " if (num < 0) != negated else " + ") + component(num, den, index)
     return body, negated, False
-
-
-def _term_plain(m: int, n: int) -> str:
-    head = ("ad" if m == 1 else f"ad^{m}") if m else ""
-    if not n:
-        return head
-    tail = "a" if n == 1 else f"a^{n}"
-    return f"{head} {tail}" if m else tail
-
-
-def _term_latex(m: int, n: int) -> str:
-    out = ""
-    if m:
-        out += r"\hat{a}^{\dagger}" if m == 1 else rf"\hat{{a}}^{{\dagger {m}}}"
-    if n:
-        out += r"\hat{a}" if n == 1 else rf"\hat{{a}}^{{{n}}}"
-    return out
 
 
 _FIELDS = ("x_re", "x_im", "y_re", "y_im")
@@ -183,28 +175,26 @@ def render(poly: NormalPoly, format: str = "plain") -> str:
     """Deterministic rendering; term order is descending m+n, then descending m."""
     if format == "structured":
         return json.dumps({"terms": structured_terms(poly)})
-    if format not in ("plain", "latex"):
+    if format not in _FORMATS:
         raise ValueError(f"unknown format {format!r}")
-    latex = format == "latex"
     if not poly:
         return "0"
+    component, term, space, left, right = _FORMATS[format]
     out = []
     for (m, n), coeff in poly.items():
-        body, negated, bare = _scalar_text(coeff, latex)
-        term = _term_latex(m, n) if latex else _term_plain(m, n)
-        if not term:
-            # only a coefficient of several components has a space in its text
+        body, negated, bare = _scalar_text(coeff, component)
+        operators = term(m, n)
+        if not operators:
+            # several components, the only text with a space, take "(" in every format
             piece = f"({body})" if " " in body else body
         elif bare and body == "1":
-            piece = term
+            piece = operators
         elif bare:
-            piece = f"{body} {term}" if not latex else f"{body}{term}"
+            piece = f"{body}{space}{operators}"
         else:
-            piece = f"({body}) {term}" if not latex else rf"\left({body}\right){term}"
-        if not out:
-            out.append(("-" if negated else "") + piece)
-        else:
-            out.append(("- " if negated else "+ ") + piece)
+            piece = f"{left}{body}{right}{space}{operators}"
+        sign = ("- " if negated else "+ ") if out else ("-" if negated else "")
+        out.append(sign + piece)
     return " ".join(out)
 
 

@@ -30,7 +30,7 @@ from weylorder.altroutes import cg_weyl_monomial
 from weylorder.closedform import weyl_normal_form, zeta_sum
 from weylorder.poly import ANNIHILATE, CREATE, P_POLY, Q, Q_POLY, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
-from weylorder.textio import _LATEX_SYMBOLS, _PLAIN_SYMBOLS, _digits, _frac_str
+from weylorder.textio import _digits, _frac_str
 
 HALF = Fraction(1, 2)
 I = Scalar(x_im=1)
@@ -253,6 +253,12 @@ def h_by_fraction(j, k, u, v):
         factorial(u) * comb(n - u - v, u) * comb(u + v, u) * zeta_sum(j, k, u + v), 2 ** u))
 
 
+# the symbols of the components 1, i, sqrt2 and i*sqrt2 in each format, spelled apart
+# from the renderer's table
+SYMBOLS = {"plain": ("", "i", "sqrt2", "i*sqrt2"),
+           "latex": ("", "i", r"\sqrt{2}", r"i\sqrt{2}")}
+
+
 def _component_plain_by_fraction(f, symbol):
     num = _digits(abs(f.numerator))
     if symbol:
@@ -273,11 +279,10 @@ def _component_latex_by_fraction(f, symbol):
     return rf"\frac{{{head}}}{{{_digits(f.denominator)}}}"
 
 
-def scalar_text_by_fraction(c, latex):
+def scalar_text_by_fraction(c, format):
     """(magnitude_text, negated_for_display, is_bare_positive_integer), read through Fractions."""
-    symbols = _LATEX_SYMBOLS if latex else _PLAIN_SYMBOLS
-    fmt = _component_latex_by_fraction if latex else _component_plain_by_fraction
-    pieces = [(f, s) for f, s in zip((c.x_re, c.x_im, c.y_re, c.y_im), symbols) if f]
+    fmt = _component_latex_by_fraction if format == "latex" else _component_plain_by_fraction
+    pieces = [(f, s) for f, s in zip((c.x_re, c.x_im, c.y_re, c.y_im), SYMBOLS[format]) if f]
     lead, symbol = pieces[0]
     negated = lead.numerator < 0
     if len(pieces) == 1:

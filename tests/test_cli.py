@@ -400,16 +400,22 @@ def test_closed_stdout_is_not_an_error(capsys, monkeypatch, case, unbuffered):
 
 
 # a descriptor closed before the interpreter starts (Python sets that stream to None), or
-# open for reading only (every write fails with EBADF)
-@pytest.mark.parametrize("redirect", [">&-", "2>&-", "1</dev/null", "2</dev/null"])
-@pytest.mark.parametrize("argv", [["check", "--max", "1"], ["weyl", "3", "3"]],
-                         ids=["check", "weyl"])
-def test_closed_descriptor_is_not_an_error(capsys, redirect, argv):
+# open for reading only (every write fails with EBADF); argparse, left alone, would print
+# usage to stdout with stderr closed, and help to stderr with stdout closed
+@pytest.mark.parametrize("argv, redirect, code", [
+    *(pytest.param(argv, redirect, 0, id=f"{argv[0]}-{redirect}")
+      for argv in (["check", "--max", "1"], ["weyl", "3", "3"])
+      for redirect in (">&-", "2>&-", "1</dev/null", "2</dev/null")),
+    pytest.param(["weyl", "x", "1"], "2>&-", 2, id="usage-2>&-"),
+    pytest.param(["--help"], "2>&-", 0, id="help-2>&-"),
+    pytest.param(["--help"], ">&-", 0, id="help->&-"),
+])
+def test_closed_descriptor_is_not_an_error(capsys, argv, redirect, code):
     expected = run(capsys, *argv)
     done = subprocess.run(["sh", "-c", f'"$@" {redirect}', "sh",
                            sys.executable, "-m", "weylorder.cli", *argv],
                           env=src_env(), capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0
+    assert done.returncode == expected[0] == code
     # the stream left open holds what it holds when both are open
     stdout_gone = redirect[0] in ">1"  # the redirect names fd 1, else fd 2
     assert (done.stdout, done.stderr) == (("", expected[2]) if stdout_gone else (expected[1], ""))
@@ -614,6 +620,7 @@ def test_help_of_every_command(capsys):
     # help comes from argparse; each text names the command's own options
     code, out, _ = run(capsys, "--help")
     assert code == 0 and all(command in out for command in PLAIN)
+    assert out == build_parser().format_help()  # main's writer ends it in one newline
     for command, (_, options) in PLAIN.items():
         code, out, err = run(capsys, command, "--help")
         assert (code, err) == (0, "")
@@ -624,6 +631,10 @@ def test_help_of_every_command(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["weyl"]) == 2
     assert main(["nonsense"]) == 2
+    code, out, err = run(capsys, "weyl", "x", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: weylorder weyl")
+    assert err.endswith("error: argument j: expected a nonnegative integer, got 'x'\n")
 
 
 SYSTEMS = {"small.json": {"qdot": [{"j": 2, "k": 1, "coeff": "1/2"}], "pdot": []},

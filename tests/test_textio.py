@@ -10,8 +10,9 @@ from weylorder.closedform import weyl_normal_form
 from weylorder.enumeration import CapExceededError
 from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
-from weylorder.textio import (ParseError, SystemFormatError, _scalar_text, load_system,
-                              parse_boson_word, render, scalar_fields, system_from_obj)
+from weylorder.textio import (_FORMATS, ParseError, SystemFormatError, _scalar_text,
+                              load_system, parse_boson_word, render, scalar_fields,
+                              system_from_obj)
 
 from oracle import scalar_fields_by_fraction, scalar_text_by_fraction
 from test_scalar import bounded_fractions, scalars
@@ -202,8 +203,8 @@ def test_scalar_renderers_match_fraction_renderers(c):
     # the renderers read the stored ints; the oracle reads one Fraction per component
     assert scalar_fields(c) == scalar_fields_by_fraction(c)
     if c:
-        for latex in (False, True):
-            assert _scalar_text(c, latex) == scalar_text_by_fraction(c, latex)
+        for fmt in ("plain", "latex"):
+            assert _scalar_text(c, _FORMATS[fmt][0]) == scalar_text_by_fraction(c, fmt)
 
 
 # (m, n) -> (plain, latex) text of the monomial ad^m a^n
@@ -217,7 +218,7 @@ def test_one_component_renderers_match_fraction_renderers(index, value):
     c = Scalar(*[value if i == index else 0 for i in range(4)])
     assert scalar_fields(c) == scalar_fields_by_fraction(c)
     for latex, fmt in ((False, "plain"), (True, "latex")):
-        body, negated, bare = scalar_text_by_fraction(c, latex)
+        body, negated, bare = scalar_text_by_fraction(c, fmt)
         sign = "-" if negated else ""
         for key, texts in TERMS.items():
             term = texts[latex]
