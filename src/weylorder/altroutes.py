@@ -8,7 +8,7 @@ k!, one division per coefficient, made when the Scalar is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 from math import comb, factorial, perm
@@ -50,17 +50,20 @@ def weyl_via_cg(j: int, k: int) -> NormalPoly:
     return total
 
 
-@dataclass(frozen=True)
-class BosonString:
+class BosonString(namedtuple("BosonString", "r s")):
     """Block form ad^{r_M} a^{s_M} ... ad^{r_1} a^{s_1}; block 1 acts first."""
-    r: tuple
-    s: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.r) != len(self.s) or not self.r:
+    def __new__(cls, r, s):
+        if len(r) != len(s) or not r:
             raise ValueError("r and s must be equal-length, nonempty sequences")
-        if any(x < 0 for x in self.r) or any(x < 0 for x in self.s):
+        if any(x < 0 for x in r) or any(x < 0 for x in s):
             raise ValueError("block powers must be nonnegative")
+        return super().__new__(cls, r, s)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     def prefix_excess(self) -> tuple:
         """d_0..d_M with d_l the running creation surplus of the first l blocks."""

@@ -20,7 +20,7 @@ Scalar.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -151,14 +151,14 @@ def weyl_normal_form(j: int, k: int) -> NormalPoly:
                            for v, num in enumerate(nums) if num})
 
 
-@dataclass
-class SymmetryReport:
-    """Outcome of the two coefficient identities for one (j, k)."""
-    j: int
-    k: int
-    pair_rule_ok: bool
-    odd_middle_ok: bool
-    failures: list = field(default_factory=list)
+class SymmetryReport(namedtuple("SymmetryReport", "j k pair_rule_ok odd_middle_ok failures")):
+    """Outcome of the two coefficient identities for one (j, k); failures defaults to []."""
+    __slots__ = ()
+    __hash__ = None
+
+    def __new__(cls, j, k, pair_rule_ok, odd_middle_ok, failures=None):
+        return super().__new__(cls, j, k, pair_rule_ok, odd_middle_ok,
+                               [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:

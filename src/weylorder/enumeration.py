@@ -17,7 +17,7 @@ its cap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -82,21 +82,15 @@ def weyl_forced(j: int, k: int) -> NormalPoly:
     return _word_sum(j, k, plus, minus) * Scalar.weyl_unit(j, k, Fraction(1, comb(j + k, j)))
 
 
-@dataclass
-class EtaCheck:
+class EtaCheck(namedtuple("EtaCheck",
+                          "j k u v symbolic_sum lambda_value xi_value zeta_value")):
     """Result of validating the three-factor decomposition for one (u, v) slot."""
-    j: int
-    k: int
-    u: int
-    v: int
-    symbolic_sum: Fraction
-    lambda_value: int
-    xi_value: Fraction
-    zeta_value: int
-    matches: bool = field(init=False)
+    __slots__ = ()
+    __hash__ = None
 
-    def __post_init__(self):
-        self.matches = self.symbolic_sum == self.lambda_value * self.xi_value * self.zeta_value
+    @property
+    def matches(self) -> bool:
+        return self.symbolic_sum == self.lambda_value * self.xi_value * self.zeta_value
 
 
 def eta_decomposition_check(j: int, k: int, u: int, v: int, cap: int = ETA_CAP) -> EtaCheck:

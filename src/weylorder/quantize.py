@@ -10,7 +10,7 @@ Systems are autonomous and coefficients must be real rationals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
@@ -36,27 +36,27 @@ def _clean_side(side, name: str) -> dict:
     return clean
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(namedtuple("PolySystem", "qdot pdot")):
     """Sparse rational coefficients of q' and p' as mappings (j, k) -> Fraction."""
-    qdot: "MappingProxyType"
-    pdot: "MappingProxyType"
+    __slots__ = ()
 
-    def __init__(self, qdot=None, pdot=None):
-        object.__setattr__(self, "qdot", MappingProxyType(_clean_side(qdot, "qdot")))
-        object.__setattr__(self, "pdot", MappingProxyType(_clean_side(pdot, "pdot")))
+    def __new__(cls, qdot=None, pdot=None):
+        return super().__new__(cls, MappingProxyType(_clean_side(qdot, "qdot")),
+                               MappingProxyType(_clean_side(pdot, "pdot")))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: clean there too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ExpectedDynamics:
+class ExpectedDynamics(namedtuple("ExpectedDynamics", "qdot_op pdot_op hbar_note",
+                                  defaults=((),))):
     """Quantized dynamics plus per-monomial hbar bookkeeping.
 
     hbar_note lists, per input monomial, the power of hbar (times 2 so it
     stays an integer) that the fixed hbar = 1 convention suppressed.
     """
-    qdot_op: NormalPoly
-    pdot_op: NormalPoly
-    hbar_note: tuple = field(default_factory=tuple)
+    __slots__ = ()
 
 
 def quantize_side(side) -> NormalPoly:

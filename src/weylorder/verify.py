@@ -8,7 +8,7 @@ its full case count and that first witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 
 from .altroutes import weyl_via_cg
@@ -17,17 +17,18 @@ from .closedform import (slots, symmetry_report, weyl_normal_form, zeta_gamma, z
 from .enumeration import ETA_CAP, eta_decomposition_check, weyl_bruteforce, weyl_forced
 
 
-@dataclass
-class CheckResult:
-    name: str
-    cases: int
-    passed: bool
-    witness: str = ""
+class CheckResult(namedtuple("CheckResult", "name cases passed witness", defaults=("",))):
+    __slots__ = ()
+    __hash__ = None
 
 
-@dataclass
-class CheckReport:
-    results: list = field(default_factory=list)
+class CheckReport(namedtuple("CheckReport", "results")):
+    """The results of a sweep, in table order; results defaults to []."""
+    __slots__ = ()
+    __hash__ = None
+
+    def __new__(cls, results=None):
+        return super().__new__(cls, [] if results is None else results)
 
     @property
     def ok(self) -> bool:
@@ -92,8 +93,8 @@ def run_checks(max_degree: int = 6, eta_cap: int = ETA_CAP) -> CheckReport:
         ("coefficient-symmetries", symmetry, pairs),
         ("hermiticity", hermitian, pairs),
     )
-    report = CheckReport()
+    results = []
     for name, witness_at, cases in table:
         witness = next(filter(None, (witness_at(*case) for case in cases)), "")
-        report.results.append(CheckResult(name, len(cases), not witness, witness))
-    return report
+        results.append(CheckResult(name, len(cases), not witness, witness))
+    return CheckReport(results)

@@ -97,4 +97,6 @@ def test_no_test_only_names_in_src():
                for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert modules
     public = {f"{module}.{name}" for module in modules for name in weylorder.__all__}
-    assert unread_names(modules, public) == []
+    # namedtuple's own _replace reads _make, which these two route through their constructor
+    hooks = {"altroutes.BosonString._make", "quantize.PolySystem._make"}
+    assert unread_names(modules, public | hooks) == []
