@@ -10,8 +10,9 @@ in every format; coeffs for j, k <= 6, every table and format; every word of
 up to four letters on both routes in every format; the normal-order-words
 requests of perfbench seeds 1 and 2, whose routes alternate; the
 weyl-quantize system files of those seeds, each in the format that workload
-asks for it; a few more system files, good and bad; check --max 0..6; and
-usage errors.
+asks for it; a few more system files, good and bad; check --max 0..6; usage
+errors; and help.  Help and usage text wraps at COLUMNS, fixed at 80 as in
+the replay.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT)]
 
 from perfbench.workloads import generate  # noqa: E402
-from test_golden import MANIFEST, replay, write_files  # noqa: E402
+from test_golden import COLUMNS, MANIFEST, replay, write_files  # noqa: E402
 
 FORMATS = ("plain", "latex", "structured")
 SEEDS = (1, 2)
@@ -68,6 +69,13 @@ USAGE = [
     ["check", "--max", "2", "--forced-cap", "0", "--eta-cap", "0"],
     ["check", "--max", "2", "--eta-cap", "0"],
 ]
+# Help, and an abbreviated option; argparse answers both.  These six and eight of the
+# usage errors above ([], nonsense, weyl, weyl x 1, --method nope, --bogus, --which eta,
+# --max x) gave the same bytes under Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
+ARGPARSE = [
+    ["--help"], ["-h"], ["weyl", "--help"], ["normal-order", "-h"], ["check", "-h"],
+    ["weyl", "3", "2", "--form", "latex"],
+]
 
 
 def requests(workdir: str) -> tuple:
@@ -97,10 +105,11 @@ def requests(workdir: str) -> tuple:
               for name in GOOD_FILES for fmt in FORMATS]
     argvs += [["quantize", name] for name in sorted(FILES) if name not in GOOD_FILES]
     argvs += [["check", "--max", str(n)] for n in range(7)]
-    return argvs + USAGE, files
+    return argvs + USAGE + ARGPARSE, files
 
 
 def main() -> None:
+    os.environ["COLUMNS"] = COLUMNS
     with tempfile.TemporaryDirectory() as workdir:
         argvs, files = requests(workdir)
         write_files(files, Path(workdir))

@@ -1,5 +1,8 @@
 """Source hygiene checks over the package and its tests, standard library only."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import weylorder
@@ -100,3 +103,11 @@ def test_no_test_only_names_in_src():
     # namedtuple's own _replace reads _make, which these two route through their constructor
     hooks = {"altroutes.BosonString._make", "quantize.PolySystem._make"}
     assert unread_names(modules, public | hooks) == []
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # every CLI run imports weylorder.cli; -S keeps site hooks from hiding or adding an import
+    code = "import sys, weylorder.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
