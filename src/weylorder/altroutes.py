@@ -4,16 +4,16 @@ Route one converts the Weyl bracket of ladder-operator monomials directly to
 normal order.  Route two is the general boson-string normal-ordering formula
 built on prefix excesses and falling factorials; one forward-difference row
 per string, in ints, gives all of its coefficients: the k-th difference over
-k!, one division per coefficient, made when the Scalar is built.
+k!, one division per coefficient, made when the Scalar is built.  `blockify`
+reads the blocks off a word's runs ((letter, count), ...), as the rewrite does.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import groupby
 from math import comb, factorial, perm
 
-from .poly import ANNIHILATE, CREATE, NormalPoly
+from .poly import ANNIHILATE, NormalPoly, _runs
 from .scalar import Scalar, _one
 
 
@@ -73,24 +73,19 @@ class BosonString(namedtuple("BosonString", "r s")):
         return tuple(d)
 
 
-def blockify(word) -> BosonString:
-    """Convert a flat operator word (leftmost letter acts last) to block form."""
-    pairs = []  # [ad run, a run], leftmost first
-    for letter, run in groupby(word):
-        count = sum(1 for _ in run)
-        if letter == CREATE:
-            pairs.append([count, 0])
-        elif letter != ANNIHILATE:
-            raise ValueError(f"not a boson letter: {letter!r}")
-        elif pairs:
-            pairs[-1][1] = count
+def blockify(runs) -> BosonString:
+    """Convert a word of runs ((letter, count), ...) (leftmost run acts last) to block form."""
+    r, s = [0], [0]  # per pair, leftmost first: its ad run, then its a run
+    for letter, count in _runs(runs):
+        if letter == ANNIHILATE:
+            s[-1] += count
+        elif count and s[-1]:  # an ad run after an a run begins a pair
+            r.append(count)
+            s.append(0)
         else:
-            pairs.append([0, count])
-    if not pairs:
-        pairs = [[0, 0]]
+            r[-1] += count
     # the leftmost pair in the written word is the last block to act
-    return BosonString(tuple(c for c, _ in reversed(pairs)),
-                       tuple(d for _, d in reversed(pairs)))
+    return BosonString(tuple(r[::-1]), tuple(s[::-1]))
 
 
 def falling(x: int, n: int) -> int:

@@ -45,7 +45,7 @@ EXIT_CAP = 3
 # The largest j + k the CLI reads (weyl, coeffs, quantize monomials, check --max):
 # a bound on the size of the input, not on the run time.  The library has none.
 MAX_DEGREE = 400
-# The most letters a normal-order word may expand to, checked before it is expanded.
+# The most letters a normal-order word may hold, checked before either route runs.
 MAX_WORD_LETTERS = 10_000
 # A rejected argument is echoed to at most this many characters, and a usage error
 # message (say, a list of many unrecognized arguments) to at most MESSAGE_CHARS.
@@ -97,9 +97,9 @@ def cmd_weyl(args) -> tuple:
 
 
 def cmd_normal_order(args) -> tuple:
-    word = parse_boson_word(args.expr, max_letters=MAX_WORD_LETTERS)
-    rewrite = normal_order_word(word)
-    blasiak = blasiak_normal_order(blockify(word))
+    runs = parse_boson_word(args.expr, max_letters=MAX_WORD_LETTERS)
+    rewrite = normal_order_word(runs)
+    blasiak = blasiak_normal_order(blockify(runs))
     if rewrite != blasiak:
         return EXIT_VERIFY, None, (
             f"error: rewrite and blasiak routes disagree on {_echo(args.expr)!r}")

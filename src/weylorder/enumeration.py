@@ -27,6 +27,7 @@ from .poly import ANNIHILATE, CREATE, P, P_POLY, Q, Q_POLY, NormalPoly, _normal_
 from .scalar import Scalar
 
 ETA_CAP = 6
+_A_RUN, _AD_RUN = (ANNIHILATE, 1), (CREATE, 1)  # the one-letter runs of the eta check's words
 
 
 class CapExceededError(Exception):
@@ -112,7 +113,7 @@ def eta_decomposition_check(j: int, k: int, u: int, v: int, cap: int = ETA_CAP) 
     slot = (n - 2 * u - v, v)
     monomials = []  # (bitmask of T, weight)
     for subset in combinations(range(n), u + v):
-        word = tuple(ANNIHILATE if r in subset else CREATE for r in range(n))
+        word = tuple(_A_RUN if r in subset else _AD_RUN for r in range(n))
         weight = _normal_order_int(word).get(slot, 0)
         if weight:
             monomials.append((sum(1 << r for r in subset), weight))

@@ -2,11 +2,12 @@
 
 A NormalPoly is a finite mapping (m, n) -> Scalar standing for
 sum_{m,n} c_mn ad^m a^n, the universal output form of the package.
-`normal_order_word` is the ground-truth route: it applies a ad = ad a + 1
-one letter at a time, right to left, and memoizes whole words.  The normal
-form of a suffix is kept as one int per contraction count k, since its terms
-are ad^(ads-k) a^(annihilators-k) for the suffix's letter counts: an ad letter
-only counts, and an a letter steps the list once.
+A boson word is its runs ((letter, count), ...), leftmost first: "a ad^2" is
+((ANNIHILATE, 1), (CREATE, 2)).  `normal_order_word` is the ground-truth route:
+it applies a ad = ad a + 1 one a at a time, right to left, and memoizes whole
+words.  The normal form of a suffix is kept as one int per contraction count k,
+since its terms are ad^(ads-k) a^(annihilators-k) for the suffix's letter
+counts: an ad run only counts, and each a steps the list once.
 
 A NormalPoly holds no zero term.  `NormalPoly(...)` validates and prunes;
 `NormalPoly._of` takes its dict unchecked, so each builder that can cancel
@@ -143,11 +144,11 @@ class NormalPoly:
 
 # -- word rewriting --------------------------------------------------------
 
-_NO_CACHE: dict = {}  # whole words only: flat word tuple -> finished normal form
+_NO_CACHE: dict = {}  # whole words only: tuple of runs -> finished normal form
 
 
-def _normal_order_int(word: tuple) -> dict:
-    """Integer-coefficient normal form {(m, n): c} of a boson word, letter by letter.
+def _normal_order_int(runs: tuple) -> dict:
+    """Integer-coefficient normal form {(m, n): c} of a boson word, one a at a time.
 
     The letters act right to left on the normal form of the suffix:
     ad . ad^m a^n = ad^(m+1) a^n, and a . ad^m a^n = ad^m a^(n+1) + m ad^(m-1) a^n,
@@ -157,34 +158,42 @@ def _normal_order_int(word: tuple) -> dict:
     (ads - k) coeffs[k] at k + 1.  No coefficient cancels: all are positive, so
     the only zero a step makes is a trailing one, at k = ads.
     """
-    if word in _NO_CACHE:
-        return _NO_CACHE[word]
+    if (terms := _NO_CACHE.get(runs)) is not None:
+        return terms
     coeffs = [1]
     ads = annihilators = 0
-    for letter in reversed(word):
+    for letter, count in reversed(runs):
         if letter == CREATE:
-            ads += 1
-        else:
+            ads += count
+            continue
+        annihilators += count
+        for _ in range(count):
             step = coeffs + [0]
             for k, c in enumerate(coeffs):
                 step[k + 1] += (ads - k) * c
             if not step[-1]:
                 step.pop()
             coeffs = step
-            annihilators += 1
     terms = {(ads - k, annihilators - k): c for k, c in enumerate(coeffs)}
-    _NO_CACHE[word] = terms
+    _NO_CACHE[runs] = terms
     return terms
 
 
-def normal_order_word(word) -> NormalPoly:
-    """Exact normal form of a word over {CREATE, ANNIHILATE}, memoized per whole word."""
-    word = tuple(word)
-    for letter in word:
-        if letter not in (CREATE, ANNIHILATE):
+def _runs(word) -> tuple:
+    """The runs as (letter, count) tuples; ValueError on a bad letter or count, before any work."""
+    runs = tuple(map(tuple, word))
+    for letter, count in runs:
+        if letter != CREATE and letter != ANNIHILATE:
             raise ValueError(f"not a boson letter: {letter!r}")
+        if count.__class__ is not int or count < 0:  # no bool, float or str
+            raise ValueError(f"a run count must be a nonnegative int, got {count!r}")
+    return runs
+
+
+def normal_order_word(runs) -> NormalPoly:
+    """Exact normal form of a word of runs ((letter, count), ...), memoized per whole word."""
     return NormalPoly._of({key: _one(0, c, 1)
-                           for key, c in _normal_order_int(word).items()})
+                           for key, c in _normal_order_int(_runs(runs)).items()})
 
 
 # -- q/p words -------------------------------------------------------------

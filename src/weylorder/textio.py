@@ -3,8 +3,9 @@
 Grammar notes: a boson word is a product of factors "a" and "ad" (the
 creation operator, spelled in ASCII; LaTeX output restores the dagger).
 A factor may carry a power "^N" with N a nonnegative integer and may be
-followed by "*"; blanks may stand between any two parts.  Exact rationals
-num or num/den appear only as system-file coefficients; decimals are rejected.
+followed by "*"; blanks may stand between any two parts.  A word parses to its
+runs ((letter, count), ...).  Exact rationals num or num/den appear only as
+system-file coefficients; decimals are rejected.
 
 Plain and LaTeX output share one formatter; a row of `_SPELLINGS` spells each format.
 """
@@ -37,15 +38,15 @@ _FACTOR_RE = re.compile(r"\s*(ad|a)\s*(?:(\^\s*)(\d+(?:/\d+)?)?)?\s*\*?\s*")
 
 
 def parse_boson_word(text: str, max_letters: int | None = None) -> tuple:
-    """Parse a product of "a" and "ad" factors with optional integer powers.
+    """Parse a product of "a" and "ad" factors with optional integer powers into runs.
 
-    With max_letters set, a word of more letters raises CapExceededError
-    before any run is expanded.
+    The runs ((letter, count), ...) are canonical: no zero count, and no two neighbouring
+    runs of one letter.  With max_letters set, a word of more letters raises
+    CapExceededError, after any syntax error and any power past sys.maxsize.
     """
     if not text.strip():
         raise ParseError("empty input", (0, len(text)))
-    runs = []  # a syntax error is reported before any power is expanded
-    pos = 0
+    runs, too_large, pos = [], None, 0
     while pos < len(text):
         factor = _FACTOR_RE.match(text, pos)
         if factor is None:
@@ -62,18 +63,18 @@ def parse_boson_word(text: str, max_letters: int | None = None) -> tuple:
                 count = int(power)
             except ValueError:  # more digits than sys.get_int_max_str_digits() allows
                 raise ParseError("exponent has too many digits", factor.span(3)) from None
-        runs.append((CREATE if name == "ad" else ANNIHILATE, count, factor.span(1)))
+            if count > sys.maxsize and too_large is None:  # reported after any syntax error
+                too_large = factor.span(1)
+        if count and runs and runs[-1][0] == name:
+            runs[-1] = (runs[-1][0], runs[-1][1] + count)
+        elif count:
+            runs.append((CREATE if name == "ad" else ANNIHILATE, count))
         pos = factor.end()
-    for _, count, span in runs:
-        if count > sys.maxsize:  # [letter] * count would raise OverflowError
-            raise ParseError("power too large", span)
-    total = sum(count for _, count, _ in runs)
-    if max_letters is not None and total > max_letters:
+    if too_large is not None:
+        raise ParseError("power too large", too_large)
+    if max_letters is not None and (total := sum(count for _, count in runs)) > max_letters:
         raise CapExceededError("boson word", total, max_letters, "letters")
-    letters = []
-    for letter, count, _ in runs:
-        letters.extend([letter] * count)
-    return tuple(letters)
+    return tuple(runs)
 
 
 # -- rendering -------------------------------------------------------------
@@ -134,12 +135,16 @@ def _scalar_text(c: Scalar, component):
     component n/d is already reduced and is formatted as it is stored; every Weyl
     coefficient is one.  Otherwise each nonzero component n_i/d is reduced by one gcd.
     """
-    *nums, d = c._v
-    if nums.count(0) == 3:
-        num = sum(nums)
-        index = nums.index(num)
-        return component(num, d, index), num < 0, not index and d == 1
-    pieces = [(n // (g := gcd(n, d)), d // g, i) for i, n in enumerate(nums) if n]
+    n0, n1, n2, n3, d = c._v
+    if not (n2 or n3):
+        if not n1:
+            return component(n0, d, 0), n0 < 0, d == 1
+        if not n0:
+            return component(n1, d, 1), n1 < 0, False
+    elif not (n0 or n1 or n2 and n3):
+        num, index = (n2, 2) if n2 else (n3, 3)
+        return component(num, d, index), num < 0, False
+    pieces = [(n // (g := gcd(n, d)), d // g, i) for i, n in enumerate((n0, n1, n2, n3)) if n]
     num, den, index = pieces[0]
     negated = num < 0
     # the component texts carry no sign; each sign is read relative to the lead's
@@ -249,7 +254,7 @@ def load_system(path) -> PolySystem:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SystemFormatError(f"not valid UTF-8 JSON: {exc}") from exc
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
-            raise SystemFormatError(f"number has too many digits: {exc}") from exc
+            raise SystemFormatError("number has too many digits") from exc
         except RecursionError as exc:  # arrays or objects nested past the interpreter's limit
             raise SystemFormatError(f"nested too deeply: {exc}") from exc
     return system_from_obj(obj)

@@ -18,12 +18,14 @@ The closed-form slot and the coefficient renderers are written here on
 Fractions: one Fraction per slot, and one Fraction per component read
 through the `x_re ... y_im` properties.
 
-The boson-word helpers keep their loop forms: the rewrite that rebuilds the
-{(m, n): c} dict at every letter, the index loop that reads a word's runs
-into blocks, and the falling factorial as a product.
+The boson-word helpers keep their loop forms and read flat letter sequences:
+the rewrite that rebuilds the {(m, n): c} dict at every letter, the index loop
+that reads a word's runs into blocks, and the falling factorial as a product.
+`runs_of` turns a flat sequence into the runs ((letter, count), ...) that the
+package reads.
 """
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 from math import comb, factorial
 
 from weylorder.altroutes import cg_weyl_monomial
@@ -108,6 +110,11 @@ def same_poly(a, b):
     a = a + [Scalar()] * (length - len(a))
     b = b + [Scalar()] * (length - len(b))
     return a == b
+
+
+def runs_of(word):
+    """The canonical runs ((letter, count), ...) of a flat letter sequence."""
+    return tuple((letter, len(list(group))) for letter, group in groupby(word))
 
 
 def normal_order_by_dict_steps(word):
@@ -207,7 +214,7 @@ def eta_sum_by_permutations(j, k, u, v):
     monomials = []
     for subset in combinations(range(n), u + v):
         word = tuple(ANNIHILATE if r in subset else CREATE for r in range(n))
-        weight = dict(normal_order_word(word).items()).get(slot)
+        weight = dict(normal_order_word(runs_of(word)).items()).get(slot)
         if weight is not None:
             monomials.append((subset, int(weight.x_re)))
     canonical = [1] * j + [-1] * k

@@ -18,7 +18,7 @@ from weylorder.quantize import quantize_side, quantize_system
 from weylorder.scalar import Scalar
 from weylorder.textio import load_system
 
-from oracle import A_POLY, AD_POLY
+from oracle import A_POLY, AD_POLY, runs_of
 
 
 def report(number, text):
@@ -87,12 +87,13 @@ def test_criterion_5_symmetries():
 def test_criterion_6_blasiak_vs_rewriting():
     for length in range(9):
         for word in product((CREATE, ANNIHILATE), repeat=length):
-            assert blasiak_normal_order(blockify(word)) == normal_order_word(word)
+            runs = runs_of(word)
+            assert blasiak_normal_order(blockify(runs)) == normal_order_word(runs)
     rng = random.Random(1234)
     for _ in range(1000):
         word = tuple(rng.choice((CREATE, ANNIHILATE))
                      for _ in range(rng.randrange(15)))
-        assert blasiak_normal_order(blockify(word)) == normal_order_word(word)
+        assert blasiak_normal_order(blockify(runs_of(word))) == normal_order_word(runs_of(word))
     report(6, "blasiak = rewriting on all words L <= 8 and 1000 random L <= 14")
 
 
@@ -103,7 +104,7 @@ def test_criterion_7_pinned_values():
     assert weyl_normal_form(2, 0) == NormalPoly(
         {(2, 0): half, (1, 1): 1, (0, 2): half, (0, 0): half})
     assert cg_weyl_monomial(1, 1) == NormalPoly({(1, 1): 1, (0, 0): half})
-    a_adag = (ANNIHILATE, CREATE)
+    a_adag = runs_of((ANNIHILATE, CREATE))
     expected = NormalPoly({(1, 1): 1, (0, 0): 1})
     assert normal_order_word(a_adag) == expected
     assert blasiak_normal_order(blockify(a_adag)) == expected

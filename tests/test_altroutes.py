@@ -12,7 +12,7 @@ from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
 
 from oracle import (blasiak_coeff_sum, blocks_by_index_loop, falling_by_product,
-                    weyl_by_cg_monomials)
+                    runs_of, weyl_by_cg_monomials)
 
 
 def test_falling_factorial():
@@ -49,15 +49,15 @@ def test_weyl_via_cg_examples():
 
 
 def test_blockify():
-    bs = blockify((ANNIHILATE, CREATE))
+    bs = blockify(runs_of((ANNIHILATE, CREATE)))
     assert bs == BosonString((1, 0), (0, 1))
-    assert blockify(()) == BosonString((0,), (0,))
-    assert blockify((CREATE, ANNIHILATE, ANNIHILATE)) == BosonString((1,), (2,))
+    assert blockify(runs_of(())) == BosonString((0,), (0,))
+    assert blockify(runs_of((CREATE, ANNIHILATE, ANNIHILATE))) == BosonString((1,), (2,))
     for length in range(11):
         for word in product((CREATE, ANNIHILATE), repeat=length):
-            assert blockify(word) == BosonString(*blocks_by_index_loop(word)), word
+            assert blockify(runs_of(word)) == BosonString(*blocks_by_index_loop(word)), word
     with pytest.raises(ValueError, match="not a boson letter"):
-        blockify((CREATE, "q", ANNIHILATE))
+        blockify(runs_of((CREATE, "q", ANNIHILATE)))
 
 
 def test_blasiak_coeff_examples():
@@ -101,7 +101,8 @@ def test_blasiak_examples():
 def test_blasiak_exhaustive_short_words():
     for length in range(9):
         for word in product((CREATE, ANNIHILATE), repeat=length):
-            assert blasiak_normal_order(blockify(word)) == normal_order_word(word)
+            runs = runs_of(word)
+            assert blasiak_normal_order(blockify(runs)) == normal_order_word(runs)
 
 
 def test_blasiak_random_long_words():
@@ -109,7 +110,7 @@ def test_blasiak_random_long_words():
     for _ in range(1000):
         word = tuple(rng.choice((CREATE, ANNIHILATE))
                      for _ in range(rng.randrange(15)))
-        assert blasiak_normal_order(blockify(word)) == normal_order_word(word)
+        assert blasiak_normal_order(blockify(runs_of(word))) == normal_order_word(runs_of(word))
 
 
 def test_excess_conservation():
@@ -117,7 +118,7 @@ def test_excess_conservation():
     for _ in range(100):
         word = tuple(rng.choice((CREATE, ANNIHILATE))
                      for _ in range(rng.randrange(1, 11)))
-        bs = blockify(word)
+        bs = blockify(runs_of(word))
         d_m = bs.prefix_excess()[-1]
         for (m, n), _ in blasiak_normal_order(bs).items():
             assert m - n == d_m

@@ -185,7 +185,7 @@ def test_normal_order_parse_error(capsys):
     code, _, err = run(capsys, "normal-order", "a !!")
     assert code == 2
     assert "at 2" in err
-    # a power past sys.maxsize: [letter] * power would raise OverflowError
+    # a power past sys.maxsize: no word has that many letters, whatever the cap
     code, out, err = run(capsys, "normal-order", "ad^99999999999999999999")
     assert (code, out) == (2, "")
     assert "power too large" in err

@@ -3,11 +3,9 @@
 tests/golden/manifest.json holds the argv of each request, its exit code
 and the sha256 of its stdout and of its stderr, plus the input files the
 requests name.  Help and usage text wraps at the terminal width, so the
-replay fixes COLUMNS at 80.  The stderr of a request in STDERR_UNPINNED is
-the interpreter's own message, worded differently across Python versions,
-and its entry holds null for it.  A change that alters either stream on
-purpose rebuilds the manifest with tests/golden/regenerate.py and lists
-each changed entry in CHANGES.md.
+replay fixes COLUMNS at 80.  A change that alters either stream on purpose
+rebuilds the manifest with tests/golden/regenerate.py and lists each changed
+entry in CHANGES.md.
 """
 import hashlib
 import io
@@ -19,8 +17,6 @@ from weylorder.cli import main
 
 MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
 COLUMNS = "80"
-# the int-to-str limit error: "(4300)" under Python 3.10, "(4300 digits)" from 3.11
-STDERR_UNPINNED = [["quantize", "long-integer.json"]]
 
 
 def sha256(text: str) -> str:
@@ -36,7 +32,7 @@ def replay(argv: list) -> dict:
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return {"argv": argv, "exit": code, "stdout_sha256": sha256(out.getvalue()),
-            "stderr_sha256": None if argv in STDERR_UNPINNED else sha256(err.getvalue())}
+            "stderr_sha256": sha256(err.getvalue())}
 
 
 def write_files(files: dict, directory: Path) -> None:

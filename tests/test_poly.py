@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from weylorder.altroutes import blasiak_normal_order, blockify, weyl_via_cg
+from weylorder.altroutes import BosonString, blasiak_normal_order, blockify, weyl_via_cg
 from weylorder.closedform import h_slots, weyl_normal_form
 from weylorder.enumeration import weyl_bruteforce
 from weylorder.poly import (_NO_CACHE, ANNIHILATE, CREATE, P, Q, NormalPoly,
@@ -14,7 +14,7 @@ from weylorder.quantize import quantize_side
 from weylorder.scalar import Scalar
 
 from oracle import (A_POLY, AD_POLY, I, apply_boson_word, apply_normal_poly, apply_qp_word,
-                    normal_order_by_dict_steps, same_poly, unit)
+                    normal_order_by_dict_steps, runs_of, same_poly, unit)
 
 I_HALF = Scalar(x_im=Fraction(1, 2))
 
@@ -71,8 +71,9 @@ def test_no_builder_leaves_a_zero_term():
         "0 * p": 0 * p,
         "p * Scalar()": p * Scalar(),
         "(ad + a) * (ad - a)": (ad + a) * (ad - a),  # the two ad a terms cancel
-        "normal_order_word": normal_order_word((CREATE, ANNIHILATE, ANNIHILATE, CREATE)),
-        "blasiak": blasiak_normal_order(blockify((CREATE, ANNIHILATE, ANNIHILATE, CREATE))),
+        "normal_order_word": normal_order_word(runs_of((CREATE, ANNIHILATE, ANNIHILATE, CREATE))),
+        "blasiak": blasiak_normal_order(blockify(runs_of((CREATE, ANNIHILATE, ANNIHILATE,
+                                                          CREATE)))),
         "weyl_normal_form(3, 5)": weyl_normal_form(3, 5),  # zero odd-odd middle slots
         "weyl_via_cg(3, 5)": weyl_via_cg(3, 5),
         "weyl_bruteforce(3, 5)": weyl_bruteforce(3, 5),
@@ -93,23 +94,23 @@ def test_foreign_operands_and_letters():
     same = NormalPoly({(0, 0): Scalar(1)}) + NormalPoly({(1, 1): Scalar(Fraction(1, 2))})
     assert same == p and hash(same) == hash(p) and len({p, same}) == 1
     assert hash(weyl_via_cg(3, 2)) == hash(weyl_normal_form(3, 2))
-    for build, word, message in ((normal_order_word, (CREATE, Q), "not a boson letter"),
+    for build, word, message in ((normal_order_word, runs_of((CREATE, Q)), "not a boson letter"),
                                  (expand_qp_word, (Q, ANNIHILATE), "not a q/p letter")):
         with pytest.raises(ValueError, match=message):
             build(word)
 
 
 def test_normal_order_word_basics():
-    assert normal_order_word([ANNIHILATE, CREATE]) == NormalPoly({(1, 1): 1, (0, 0): 1})
-    assert normal_order_word([]) == NormalPoly.one()
-    assert normal_order_word([ANNIHILATE, ANNIHILATE, CREATE, CREATE]) == \
+    assert normal_order_word(runs_of([ANNIHILATE, CREATE])) == NormalPoly({(1, 1): 1, (0, 0): 1})
+    assert normal_order_word(runs_of([])) == NormalPoly.one()
+    assert normal_order_word(runs_of([ANNIHILATE, ANNIHILATE, CREATE, CREATE])) == \
         NormalPoly({(2, 2): 1, (1, 1): 4, (0, 0): 2})
 
 
 @pytest.mark.parametrize("length", range(7))
 def test_normal_order_word_against_differential_oracle(length):
     for word in product((CREATE, ANNIHILATE), repeat=length):
-        poly = normal_order_word(word)
+        poly = normal_order_word(runs_of(word))
         for t in (0, 1, 3):
             assert same_poly(apply_boson_word(word, unit(t)),
                              apply_normal_poly(poly, unit(t)))
@@ -117,7 +118,7 @@ def test_normal_order_word_against_differential_oracle(length):
 
 @given(st.lists(st.sampled_from((CREATE, ANNIHILATE)), max_size=40))
 def test_normal_order_word_equals_blasiak(word):
-    assert normal_order_word(word) == blasiak_normal_order(blockify(word))
+    assert normal_order_word(runs_of(word)) == blasiak_normal_order(blockify(runs_of(word)))
 
 
 def test_rewrite_matches_dict_steps():
@@ -126,18 +127,40 @@ def test_rewrite_matches_dict_steps():
     words += [a * big + ad for big in (1000, 2200)] + [a + ad * big for big in (1000, 2200)]
     words += [a * n + ad * n for n in range(31)]
     for word in words:
-        _NO_CACHE.pop(word, None)
-        assert _normal_order_int(word) == normal_order_by_dict_steps(word), word
+        _NO_CACHE.pop(runs_of(word), None)
+        assert _normal_order_int(runs_of(word)) == normal_order_by_dict_steps(word), word
 
 
 def test_rewrite_memo_holds_whole_words_only():
     # a^30 ad^30 has 900 inversions; a memo of suffixes would grow by hundreds
-    word = (ANNIHILATE,) * 30 + (CREATE,) * 30
+    word = runs_of((ANNIHILATE,) * 30 + (CREATE,) * 30)
+    assert word == ((ANNIHILATE, 30), (CREATE, 30))
     _NO_CACHE.pop(word, None)
     before = len(_NO_CACHE)
     normal_order_word(word)
     assert len(_NO_CACHE) == before + 1
-    assert word in _NO_CACHE
+    assert word in _NO_CACHE  # keyed by the runs, not by the 60 letters
+
+
+def test_runs_are_checked_before_any_work():
+    # a negative count would reach NormalPoly._of as a negative power
+    bad = {((ANNIHILATE, 2), (CREATE, -1)): "count", ((CREATE, True),): "count",
+           ((ANNIHILATE, 1.0),): "count", ((ANNIHILATE, 1), ("q", 1)): "not a boson letter"}
+    for runs, message in bad.items():
+        for build in (normal_order_word, blockify):
+            before = len(_NO_CACHE)
+            with pytest.raises(ValueError, match=message):
+                build(runs)
+            assert len(_NO_CACHE) == before, (build, runs)
+
+
+def test_runs_need_not_be_canonical():
+    # zero counts and neighbouring runs of one letter read as the canonical runs
+    loose = [[CREATE, 0], [ANNIHILATE, 1], (CREATE, 0), (ANNIHILATE, 2), (CREATE, 1), (CREATE, 1)]
+    canonical = ((ANNIHILATE, 3), (CREATE, 2))
+    assert normal_order_word(loose) == normal_order_word(canonical)
+    assert blockify(loose) == blockify(canonical) == BosonString((2, 0), (0, 3))
+    assert blockify(((ANNIHILATE, 0),)) == blockify(()) == BosonString((0,), (0,))
 
 
 def test_word_concatenation_is_multiplication():
@@ -145,8 +168,8 @@ def test_word_concatenation_is_multiplication():
     for _ in range(50):
         w1 = tuple(rng.choice((CREATE, ANNIHILATE)) for _ in range(rng.randrange(6)))
         w2 = tuple(rng.choice((CREATE, ANNIHILATE)) for _ in range(rng.randrange(6)))
-        assert normal_order_word(w1 + w2) == \
-            normal_order_word(w1) * normal_order_word(w2)
+        assert normal_order_word(runs_of(w1 + w2)) == \
+            normal_order_word(runs_of(w1)) * normal_order_word(runs_of(w2))
 
 
 def test_expand_qp_word_examples():
