@@ -196,7 +196,7 @@ def test_normal_order_parse_error(capsys):
 
 
 def test_normal_order_letter_cap(capsys):
-    # the cap is checked before a run is expanded: a^100000000 would take about 0.8 GB
+    # the cap is checked before either route runs: a^100000000 would step the rewrite 10^8 times
     for expr in ("a^100000000", f"ad a^{MAX_WORD_LETTERS}", "a^5000 ad^5000 a"):
         start = time.perf_counter()
         code, out, err = run(capsys, "normal-order", expr, "--route", "blasiak")

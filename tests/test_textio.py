@@ -32,7 +32,7 @@ def test_parse_boson_word_errors():
 
 def test_parse_error_has_span():
     # the span is that of the leftmost syntax error, found before any power is
-    # expanded; a missing power points at the next character, or at the end
+    # checked against sys.maxsize; a missing power points at the next character, or at the end
     for text, span in (("a !", (2, 3)), ("q !", (0, 1)), (" ad^^a", (4, 5)),
                        ("ad^", (3, 3)), ("ad^99999999999999999999 !", (24, 25))):
         with pytest.raises(ParseError) as err:
