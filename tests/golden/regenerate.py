@@ -11,8 +11,9 @@ up to four letters on both routes in every format; the normal-order-words
 requests of perfbench seeds 1 and 2, whose routes alternate; the
 weyl-quantize system files of those seeds, each in the format that workload
 asks for it; a few more system files, good and bad; check --max 0..6; usage
-errors; and help.  Help and usage text wraps at COLUMNS, fixed at 80 as in
-the replay.
+errors; help; and, last, a request past each cap (exit 3) and a system file
+for each remaining document error.  Help and usage text wraps at COLUMNS,
+fixed at 80 as in the replay.
 """
 from __future__ import annotations
 
@@ -77,10 +78,33 @@ ARGPARSE = [
     ["weyl", "3", "2", "--form", "latex"],
 ]
 
+# A request past each cap the CLI checks: MAX_DEGREE on every command that reads a degree,
+# MAX_WORD_LETTERS, and the int-to-str digit limit of a rendered coefficient (4290 digits
+# times the (40, 40) row makes 4301).  Then one file per SystemFormatError not met above.
+# These came last, so that the entries before them kept their places.  All fourteen gave
+# the same exit code and stderr under Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
+CAPS = [
+    ["weyl", "401", "0"], ["weyl", "0", "401", "--method", "cg"], ["coeffs", "200", "201"],
+    ["check", "--max", "401"], ["normal-order", "a^10001"],
+]
+LIMIT_FILES = {
+    "degree-401.json": json.dumps({"qdot": [{"j": 401, "k": 0, "coeff": "1"}], "pdot": []}),
+    "digits-4301.json": json.dumps({"qdot": [{"j": 1, "k": 0, "coeff": "1"}],
+                                    "pdot": [{"j": 40, "k": 40, "coeff": "9" * 4290}]}),
+    "root-not-object.json": "[]",
+    "field-not-array.json": json.dumps({"qdot": {}, "pdot": []}),
+    "entry-not-object.json": json.dumps({"qdot": [1], "pdot": []}),
+    "missing-coeff.json": json.dumps({"qdot": [{"j": 0, "k": 1}], "pdot": []}),
+    "float-exponent.json": json.dumps({"qdot": [{"j": 1.0, "k": 0, "coeff": "1"}], "pdot": []}),
+    "long-coeff.json": json.dumps({"qdot": [{"j": 0, "k": 1, "coeff": "9" * 5000}],
+                                   "pdot": []}),
+    "deep-nesting.json": "[" * 100_000 + "]" * 100_000,
+}
+
 
 def requests(workdir: str) -> tuple:
     """The argv of every request, and the input files they name."""
-    files = dict(FILES)
+    files = {**FILES, **LIMIT_FILES}
     argvs = [["weyl", str(j), str(k), "--format", fmt]
              for j in range(11) for k in range(11) for fmt in FORMATS]
     argvs += [["weyl", str(j), str(k), "--method", method, "--format", fmt]
@@ -105,7 +129,8 @@ def requests(workdir: str) -> tuple:
               for name in GOOD_FILES for fmt in FORMATS]
     argvs += [["quantize", name] for name in sorted(FILES) if name not in GOOD_FILES]
     argvs += [["check", "--max", str(n)] for n in range(7)]
-    return argvs + USAGE + ARGPARSE, files
+    limits = CAPS + [["quantize", name] for name in LIMIT_FILES]
+    return argvs + USAGE + ARGPARSE + limits, files
 
 
 def main() -> None:
