@@ -180,14 +180,18 @@ def _normal_order_int(runs: tuple) -> dict:
 
 
 def _runs(word) -> tuple:
-    """The runs as (letter, count) tuples; ValueError on a bad letter or count, before any work."""
-    runs = tuple(map(tuple, word))
-    for letter, count in runs:
+    """The runs as (letter, count) tuples; ValueError on a bad run, letter or count, before any work."""
+    runs = []
+    for run in word:
+        if not isinstance(run, (tuple, list)) or len(run) != 2:  # a letter of a flat word, say
+            raise ValueError(f"a word is a sequence of (letter, count) runs, got the item {run!r}")
+        letter, count = run
         if letter != CREATE and letter != ANNIHILATE:
             raise ValueError(f"not a boson letter: {letter!r}")
         if count.__class__ is not int or count < 0:  # no bool, float or str
             raise ValueError(f"a run count must be a nonnegative int, got {count!r}")
-    return runs
+        runs.append((letter, count))
+    return tuple(runs)
 
 
 def normal_order_word(runs) -> NormalPoly:

@@ -16,10 +16,10 @@ ring operator given a str raises `TypeError`, as it does a float.  From ints,
 `_make` builds ring results and quantize's sums by one multi-argument gcd, and
 `_one` every one-component value by one two-argument gcd; `_weyl_unit_parts`
 alone knows the unit's component, sign and denominator.  The components read
-back through the properties `x_re`, `x_im`, `y_re` and `y_im` as `Fraction`s;
-the renderers in `textio` skip them, and read the stored ints, reducing each
-component n_i/d by one gcd.  A `Scalar` is immutable and hashes by its
-reduced form.
+back through the properties `x_re`, `x_im`, `y_re` and `y_im` as `Fraction`s,
+and through `_parts` as reduced ints, the one way out that the renderers in
+`textio` read; no other module reads the stored form.  A `Scalar` is
+immutable and hashes by its reduced form.
 """
 from __future__ import annotations
 
@@ -201,6 +201,23 @@ def _one(index: int, num: int, den: int) -> Scalar:
     self = _new(Scalar)
     _set_v(self, tuple(v))
     return self
+
+
+def _parts(c: Scalar) -> tuple:
+    """((num, den, index), ...): each nonzero component `index` as num/den, reduced, index ascending.
+
+    One nonzero component is stored reduced and is returned as stored, a bare int
+    first; every Weyl coefficient is one.  Otherwise each n_i/d takes one gcd.
+    """
+    n0, n1, n2, n3, d = c._v
+    if not (n1 or n2 or n3):
+        return ((n0, d, 0),) if n0 else ()
+    if not (n0 or n2 or n3):
+        return ((n1, d, 1),)
+    if not (n0 or n1 or n2 and n3):
+        return ((n2, d, 2),) if n2 else ((n3, d, 3),)
+    return tuple((n // (g := gcd(n, d)), d // g, index)
+                 for index, n in enumerate((n0, n1, n2, n3)) if n)
 
 
 def _coerce(value) -> Scalar:

@@ -16,12 +16,11 @@ import math
 import re
 import sys
 from fractions import Fraction
-from math import gcd
 
 from .enumeration import CapExceededError
 from .poly import ANNIHILATE, CREATE, NormalPoly
 from .quantize import PolySystem
-from .scalar import Scalar
+from .scalar import Scalar, _parts
 
 
 class ParseError(ValueError):
@@ -128,48 +127,15 @@ def _formatter(symbols, joint, before, between, after, ad, ad_before, ad_after,
 _FORMATS = {name: _formatter(*row) for name, row in _SPELLINGS.items()}
 
 
-def _scalar_text(c: Scalar, component):
-    """Return (magnitude_text, negated_for_display, is_bare_positive_integer).
-
-    component is the component formatter of a _FORMATS row.  A value of one nonzero
-    component n/d is already reduced and is formatted as it is stored; every Weyl
-    coefficient is one.  Otherwise each nonzero component n_i/d is reduced by one gcd.
-    """
-    n0, n1, n2, n3, d = c._v
-    if not (n2 or n3):
-        if not n1:
-            return component(n0, d, 0), n0 < 0, d == 1
-        if not n0:
-            return component(n1, d, 1), n1 < 0, False
-    elif not (n0 or n1 or n2 and n3):
-        num, index = (n2, 2) if n2 else (n3, 3)
-        return component(num, d, index), num < 0, False
-    pieces = [(n // (g := gcd(n, d)), d // g, i) for i, n in enumerate((n0, n1, n2, n3)) if n]
-    num, den, index = pieces[0]
-    negated = num < 0
-    # the component texts carry no sign; each sign is read relative to the lead's
-    body = component(num, den, index)
-    for num, den, index in pieces[1:]:
-        body += (" - " if (num < 0) != negated else " + ") + component(num, den, index)
-    return body, negated, False
-
-
 _FIELDS = ("x_re", "x_im", "y_re", "y_im")
 
 
 def scalar_fields(c: Scalar) -> dict:
-    """The four components as "num/den" strings, each n_i/d reduced by one gcd; zero is "0/1".
-
-    A value of one nonzero component n/d is already reduced, so it takes no gcd.
-    """
-    *nums, d = c._v
-    if nums.count(0) == 3:
-        num = sum(nums)
-        fields = {"x_re": "0/1", "x_im": "0/1", "y_re": "0/1", "y_im": "0/1"}
-        fields[_FIELDS[nums.index(num)]] = f"{_digits(num)}/{_digits(d)}"
-        return fields
-    return {name: f"{_digits(n // (g := gcd(n, d)))}/{_digits(d // g)}" if n else "0/1"
-            for name, n in zip(_FIELDS, nums)}
+    """The four components as reduced "num/den" strings; zero is "0/1"."""
+    fields = {"x_re": "0/1", "x_im": "0/1", "y_re": "0/1", "y_im": "0/1"}
+    for num, den, index in _parts(c):
+        fields[_FIELDS[index]] = f"{_digits(num)}/{_digits(den)}"
+    return fields
 
 
 def structured_terms(poly: NormalPoly) -> list:
@@ -187,17 +153,23 @@ def render(poly: NormalPoly, format: str = "plain") -> str:
     component, term, space, left, right = _FORMATS[format]
     out = []
     for (m, n), coeff in poly.items():
-        body, negated, bare = _scalar_text(coeff, component)
+        parts = _parts(coeff)
+        num, den, index = parts[0]
+        negated = num < 0
+        body = component(num, den, index)
         operators = term(m, n)
-        if not operators:
-            # several components, the only text with a space, take "(" in every format
-            piece = f"({body})" if " " in body else body
-        elif bare and body == "1":
-            piece = operators
-        elif bare:
-            piece = f"{body}{space}{operators}"
-        else:
+        if len(parts) > 1:
+            # a part's text carries no sign, so its sign is read against the lead's; the
+            # bracket beside no operator is "(" in every format
+            for part in parts[1:]:
+                body += (" - " if (part[0] < 0) != negated else " + ") + component(*part)
+            piece = f"{left}{body}{right}{space}{operators}" if operators else f"({body})"
+        elif not operators:
+            piece = body
+        elif den != 1 or index:
             piece = f"{left}{body}{right}{space}{operators}"
+        else:  # a bare integer; 1 is left out
+            piece = operators if body == "1" else f"{body}{space}{operators}"
         sign = ("- " if negated else "+ ") if out else ("-" if negated else "")
         out.append(sign + piece)
     return " ".join(out)

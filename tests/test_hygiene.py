@@ -105,6 +105,15 @@ def test_no_test_only_names_in_src():
     assert unread_names(modules, public | hooks) == []
 
 
+def test_only_scalar_reads_the_stored_form():
+    # a Scalar's stored ints go out through scalar._parts alone
+    readers = [str(path.relative_to(ROOT)) for path in sorted((ROOT / "src").rglob("*.py"))
+               if path.name != "scalar.py" and any(
+                   isinstance(node, ast.Attribute) and node.attr == "_v"
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert readers == []
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # every CLI run imports weylorder.cli; -S keeps site hooks from hiding or adding an import
     code = "import sys, weylorder.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"

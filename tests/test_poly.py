@@ -145,7 +145,10 @@ def test_rewrite_memo_holds_whole_words_only():
 def test_runs_are_checked_before_any_work():
     # a negative count would reach NormalPoly._of as a negative power
     bad = {((ANNIHILATE, 2), (CREATE, -1)): "count", ((CREATE, True),): "count",
-           ((ANNIHILATE, 1.0),): "count", ((ANNIHILATE, 1), ("q", 1)): "not a boson letter"}
+           ((ANNIHILATE, 1.0),): "count", ((ANNIHILATE, 1), ("q", 1)): "not a boson letter",
+           # a flat word of letters, where "ad" would split into the run ("a", "d")
+           (ANNIHILATE, CREATE): r"a word is a sequence of \(letter, count\) runs",
+           (CREATE, ANNIHILATE): r"a word is a sequence of \(letter, count\) runs"}
     for runs, message in bad.items():
         for build in (normal_order_word, blockify):
             before = len(_NO_CACHE)

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from weylorder.scalar import Scalar
+from weylorder.scalar import Scalar, _parts
 
 from oracle import I, SQRT2, gmul
 
@@ -118,6 +118,17 @@ def bounded_fractions(draw):
 
 fracs = bounded_fractions()
 scalars = st.builds(Scalar, fracs, fracs, fracs, fracs)
+# every pattern of zero and nonzero components, each about as often
+sparse = st.just(Fraction(0)) | fracs.filter(bool)
+sparse_scalars = st.builds(Scalar, sparse, sparse, sparse, sparse)
+
+
+@given(sparse_scalars)
+def test_parts_are_the_reduced_nonzero_components(c):
+    # one (num, den, index) per nonzero component, in lowest terms, index ascending; zero has none
+    fractions = (c.x_re, c.x_im, c.y_re, c.y_im)
+    assert _parts(c) == tuple((f.numerator, f.denominator, index)
+                              for index, f in enumerate(fractions) if f)
 
 
 @given(scalars, scalars, scalars)

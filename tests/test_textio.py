@@ -10,9 +10,8 @@ from weylorder.closedform import weyl_normal_form
 from weylorder.enumeration import CapExceededError
 from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
-from weylorder.textio import (_FORMATS, ParseError, SystemFormatError, _scalar_text,
-                              load_system, parse_boson_word, render, scalar_fields,
-                              system_from_obj)
+from weylorder.textio import (ParseError, SystemFormatError, load_system, parse_boson_word,
+                              render, scalar_fields, system_from_obj)
 
 from oracle import (normal_order_by_dict_steps, runs_of, scalar_fields_by_fraction,
                     scalar_text_by_fraction)
@@ -213,18 +212,40 @@ def test_render_constant_bracket_beside_a_term():
         "m": 0, "n": 0, "x_re": "1/6", "x_im": "-1/3", "y_re": "1/2", "y_im": "5/6"}
 
 
-@given(scalars)
-def test_scalar_renderers_match_fraction_renderers(c):
-    # the renderers read the stored ints; the oracle reads one Fraction per component
-    assert scalar_fields(c) == scalar_fields_by_fraction(c)
-    if c:
-        for fmt in ("plain", "latex"):
-            assert _scalar_text(c, _FORMATS[fmt][0]) == scalar_text_by_fraction(c, fmt)
-
-
 # (m, n) -> (plain, latex) text of the monomial ad^m a^n
 TERMS = {(0, 0): ("", ""), (1, 0): ("ad", r"\hat{a}^{\dagger}"),
          (2, 3): ("ad^2 a^3", r"\hat{a}^{\dagger 2}\hat{a}^{3}")}
+
+
+def render_by_fraction(c, key, fmt):
+    """render(NormalPoly({key: c}), fmt) by the piece rules, from the oracle's coefficient text."""
+    latex = fmt == "latex"
+    body, negated, bare = scalar_text_by_fraction(c, fmt)
+    term = TERMS[key][latex]
+    if not term:
+        # several components, the only text with a space, take "(" in every format
+        text = f"({body})" if " " in body else body
+    elif bare and body == "1":
+        text = term
+    elif bare:
+        text = f"{body}{term}" if latex else f"{body} {term}"
+    else:
+        text = rf"\left({body}\right){term}" if latex else f"({body}) {term}"
+    return ("-" if negated else "") + text
+
+
+def assert_render_matches_fractions(c):
+    for fmt in ("plain", "latex"):
+        for key in TERMS:
+            assert render(NormalPoly({key: c}), fmt) == render_by_fraction(c, key, fmt), (key, fmt)
+
+
+@given(scalars)
+def test_scalar_renderers_match_fraction_renderers(c):
+    # the renderers read scalar._parts; the oracle reads one Fraction per component
+    assert scalar_fields(c) == scalar_fields_by_fraction(c)
+    if c:
+        assert_render_matches_fractions(c)
 
 
 @given(st.integers(0, 3), bounded_fractions().filter(bool))
@@ -232,20 +253,7 @@ def test_one_component_renderers_match_fraction_renderers(index, value):
     # a one-component value is formatted as it is stored, with no gcd
     c = Scalar(*[value if i == index else 0 for i in range(4)])
     assert scalar_fields(c) == scalar_fields_by_fraction(c)
-    for latex, fmt in ((False, "plain"), (True, "latex")):
-        body, negated, bare = scalar_text_by_fraction(c, fmt)
-        sign = "-" if negated else ""
-        for key, texts in TERMS.items():
-            term = texts[latex]
-            if not term:
-                text = body
-            elif bare and body == "1":
-                text = term
-            elif bare:
-                text = f"{body}{term}" if latex else f"{body} {term}"
-            else:
-                text = rf"\left({body}\right){term}" if latex else f"({body}) {term}"
-            assert render(NormalPoly({key: c}), fmt) == sign + text
+    assert_render_matches_fractions(c)
 
 
 def test_render_structured():
