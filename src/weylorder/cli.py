@@ -30,11 +30,10 @@ from functools import cache
 from .altroutes import blasiak_normal_order, blockify, weyl_via_cg
 from .closedform import h_slots, lambda_factor, slots, weyl_normal_form, xi_factor, zeta_row
 from .enumeration import ETA_CAP, CapExceededError, weyl_bruteforce, weyl_forced
-from .poly import NormalPoly, normal_order_word
+from .poly import normal_order_word
 from .quantize import quantize_system
-from .scalar import Scalar
-from .textio import (ParseError, SystemFormatError, _frac_str, load_system, parse_boson_word,
-                     render, scalar_fields, structured_terms)
+from .textio import (FORMATS, ParseError, SystemFormatError, load_system, parse_boson_word, render,
+                     render_table, structured_terms)
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -45,7 +44,7 @@ EXIT_CAP = 3
 # The largest j + k the CLI reads (weyl, coeffs, quantize monomials, check --max):
 # a bound on the size of the input, not on the run time.  The library has none.
 MAX_DEGREE = 400
-# The most letters a normal-order word may hold, checked before either route runs.
+# The most letters a normal-order word may hold, checked after the parse, before either route.
 MAX_WORD_LETTERS = 10_000
 # A rejected argument is echoed to at most this many characters, and a usage error
 # message (say, a list of many unrecognized arguments) to at most MESSAGE_CHARS.
@@ -79,14 +78,14 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _check_degree(what: str, degree: int) -> None:
-    if degree > MAX_DEGREE:
-        raise CapExceededError(what, degree, MAX_DEGREE)
+def _check_cap(what: str, size: int, cap: int = MAX_DEGREE, unit: str = "degree") -> None:
+    if size > cap:
+        raise CapExceededError(what, size, cap, unit)
 
 
 def cmd_weyl(args) -> tuple:
     n = args.j + args.k
-    _check_degree("weyl", n)
+    _check_cap("weyl", n)
     poly = {"closed": weyl_normal_form, "brute": weyl_bruteforce, "forced": weyl_forced,
             "cg": weyl_via_cg}[args.method](args.j, args.k)
     if args.format == "structured":
@@ -97,7 +96,8 @@ def cmd_weyl(args) -> tuple:
 
 
 def cmd_normal_order(args) -> tuple:
-    runs = parse_boson_word(args.expr, max_letters=MAX_WORD_LETTERS)
+    runs = parse_boson_word(args.expr)
+    _check_cap("boson word", sum(count for _, count in runs), MAX_WORD_LETTERS, "letters")
     rewrite = normal_order_word(runs)
     blasiak = blasiak_normal_order(blockify(runs))
     if rewrite != blasiak:
@@ -107,38 +107,28 @@ def cmd_normal_order(args) -> tuple:
 
 
 def _coeff_rows(j: int, k: int, which: str) -> list:
-    """(keys, value) per table row; value is a Scalar for h, else int or str."""
+    """(keys, value) per table row, as textio.render_table reads it."""
     if which == "zeta":
         return [({"t": t}, z) for t, z in enumerate(zeta_row(j, k))]
     if which == "h":
         return [({"u": u, "v": v}, h) for u, v, h in h_slots(j, k)]
     if which == "lambda":
         return [({"u": u, "v": v}, lambda_factor(j, k, u, v)) for u, v in slots(j + k)]
-    return [({"u": u, "v": v}, _frac_str(xi_factor(j, k, u, v))) for u, v in slots(j + k)]
+    return [({"u": u, "v": v}, xi_factor(j, k, u, v)) for u, v in slots(j + k)]
 
 
 def cmd_coeffs(args) -> tuple:
-    _check_degree("coeffs", args.j + args.k)
-    rows = _coeff_rows(args.j, args.k, args.which)
-    if args.format == "structured":
-        return EXIT_OK, json.dumps({"j": args.j, "k": args.k, "which": args.which, "rows": [
-            {**keys, **(scalar_fields(value) if isinstance(value, Scalar)
-                        else {"value": value})}
-            for keys, value in rows]}), None
-    sep, eol = (" & ", r" \\") if args.format == "latex" else ("  ", "")
-    lines = []
-    for keys, value in rows:
-        if isinstance(value, Scalar):
-            value = render(NormalPoly({(0, 0): value}), args.format)
-        lines.append(sep.join(f"{name}={index}" for name, index in keys.items())
-                     + f"{sep}{value}{eol}")
-    return EXIT_OK, "\n".join(lines), f"# coeffs j={args.j} k={args.k} which={args.which}"
+    _check_cap("coeffs", args.j + args.k)
+    text = render_table(_coeff_rows(args.j, args.k, args.which), args.format,
+                        {"j": args.j, "k": args.k, "which": args.which})
+    return EXIT_OK, text, (None if args.format == "structured"
+                           else f"# coeffs j={args.j} k={args.k} which={args.which}")
 
 
 def cmd_quantize(args) -> tuple:
     system = load_system(args.path)
     for j, k in [*system.qdot, *system.pdot]:
-        _check_degree(f"quantize monomial q^{j} p^{k}", j + k)
+        _check_cap(f"quantize monomial q^{j} p^{k}", j + k)
     dyn = quantize_system(system)
     if args.format == "structured":
         return EXIT_OK, json.dumps({
@@ -153,7 +143,7 @@ def cmd_quantize(args) -> tuple:
 
 
 def cmd_check(args) -> tuple:
-    _check_degree("check --max", args.max_degree)
+    _check_cap("check --max", args.max_degree)
     report = run_checks(max_degree=args.max_degree, eta_cap=args.eta_cap)
     lines = []
     for result in report.results:
@@ -166,7 +156,7 @@ def cmd_check(args) -> tuple:
 
 # Per command: the handler, returning (exit code, stdout text or None, stderr text or None), the
 # help string, positionals as (dest, type) and options as {option: (dest, type, choices, default)}.
-_FORMAT = {"--format": ("format", str, ("plain", "latex", "structured"), "plain")}
+_FORMAT = {"--format": ("format", str, FORMATS, "plain")}
 COMMANDS = {
     "weyl": (cmd_weyl, "Weyl ordering of q^j p^k in normal order",
              (("j", _nonnegative), ("k", _nonnegative)),

@@ -7,7 +7,8 @@ followed by "*"; blanks may stand between any two parts.  A word parses to its
 runs ((letter, count), ...).  Exact rationals num or num/den appear only as
 system-file coefficients; decimals are rejected.
 
-Plain and LaTeX output share one formatter; a row of `_SPELLINGS` spells each format.
+Plain and LaTeX output, of terms and of tables, share one formatter; a row of `_SPELLINGS`
+spells each format.
 """
 from __future__ import annotations
 
@@ -36,12 +37,11 @@ class ParseError(ValueError):
 _FACTOR_RE = re.compile(r"\s*(ad|a)\s*(?:(\^\s*)(\d+(?:/\d+)?)?)?\s*\*?\s*")
 
 
-def parse_boson_word(text: str, max_letters: int | None = None) -> tuple:
+def parse_boson_word(text: str) -> tuple:
     """Parse a product of "a" and "ad" factors with optional integer powers into runs.
 
     The runs ((letter, count), ...) are canonical: no zero count, and no two neighbouring
-    runs of one letter.  With max_letters set, a word of more letters raises
-    CapExceededError, after any syntax error and any power past sys.maxsize.
+    runs of one letter.  A power past sys.maxsize is reported after any syntax error.
     """
     if not text.strip():
         raise ParseError("empty input", (0, len(text)))
@@ -71,8 +71,6 @@ def parse_boson_word(text: str, max_letters: int | None = None) -> tuple:
         pos = factor.end()
     if too_large is not None:
         raise ParseError("power too large", too_large)
-    if max_letters is not None and (total := sum(count for _, count in runs)) > max_letters:
-        raise CapExceededError("boson word", total, max_letters, "letters")
     return tuple(runs)
 
 
@@ -94,22 +92,23 @@ def _frac_str(f: Fraction) -> str:
     return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
 
 
-# Each format's spelling of each piece, one row per format: the symbols of 1, i, sqrt2 and
-# i*sqrt2; the joint of digits and symbol; the text before, between and after a fraction's
-# numerator and denominator; ad, and the text before and after m in ad^m; the same for a^n;
-# the joint of operators, and of a coefficient and its operators; a coefficient's bracket.
+# Each format's spelling of each piece, one row per format: the symbols of 1, i, sqrt2 and i*sqrt2;
+# the joint of digits and symbol; the text before, between and after a fraction's numerator and
+# denominator; ad, and the text around m in ad^m; the same for a^n; the joint of operators, and of
+# a coefficient and its operators; a coefficient's bracket; a table's column joint and line end.
 _SPELLINGS = {
     "plain": (("", "i", "sqrt2", "i*sqrt2"), "*", "", "/", "", "ad", "ad^", "",
-              "a", "a^", "", " ", "(", ")"),
+              "a", "a^", "", " ", "(", ")", "  ", ""),
     "latex": (("", "i", r"\sqrt{2}", r"i\sqrt{2}"), "", r"\frac{", "}{", "}",
               r"\hat{a}^{\dagger}", r"\hat{a}^{\dagger ", "}", r"\hat{a}", r"\hat{a}^{", "}",
-              "", r"\left(", r"\right)"),
+              "", r"\left(", r"\right)", " & ", r" \\"),
 }
+FORMATS = (*_SPELLINGS, "structured")  # every --format: a row of _SPELLINGS each, then JSON
 
 
 def _formatter(symbols, joint, before, between, after, ad, ad_before, ad_after,
-               a, a_before, a_after, space, left, right):
-    """(component(num, den, index), term(m, n), space, left, right) of one row."""
+               a, a_before, a_after, space, left, right, sep, eol):
+    """(component(num, den, index), term(m, n), space, left, right, line(keys, text)) of one row."""
     def component(num: int, den: int, index: int) -> str:
         head = _digits(abs(num))
         if index:
@@ -121,10 +120,13 @@ def _formatter(symbols, joint, before, between, after, ad, ad_before, ad_after,
         tail = (a if n == 1 else f"{a_before}{n}{a_after}") if n else ""
         return f"{head}{space}{tail}" if m and n else head or tail
 
-    return component, term, space, left, right
+    def line(keys: dict, text) -> str:
+        return sep.join(f"{name}={index}" for name, index in keys.items()) + f"{sep}{text}{eol}"
+
+    return component, term, space, left, right, line
 
 
-_FORMATS = {name: _formatter(*row) for name, row in _SPELLINGS.items()}
+_FORMATTERS = {name: _formatter(*row) for name, row in _SPELLINGS.items()}
 
 
 _FIELDS = ("x_re", "x_im", "y_re", "y_im")
@@ -146,11 +148,11 @@ def render(poly: NormalPoly, format: str = "plain") -> str:
     """Deterministic rendering; term order is descending m+n, then descending m."""
     if format == "structured":
         return json.dumps({"terms": structured_terms(poly)})
-    if format not in _FORMATS:
+    if format not in _FORMATTERS:
         raise ValueError(f"unknown format {format!r}")
     if not poly:
         return "0"
-    component, term, space, left, right = _FORMATS[format]
+    component, term, space, left, right, _ = _FORMATTERS[format]
     out = []
     for (m, n), coeff in poly.items():
         parts = _parts(coeff)
@@ -173,6 +175,19 @@ def render(poly: NormalPoly, format: str = "plain") -> str:
         sign = ("- " if negated else "+ ") if out else ("-" if negated else "")
         out.append(sign + piece)
     return " ".join(out)
+
+
+def render_table(rows, format: str = "plain", envelope: dict | None = None) -> str:
+    """(keys, value) rows, value a Scalar, int or Fraction: a line each, or JSON in envelope."""
+    rows = [(keys, _frac_str(value) if isinstance(value, Fraction) else value)
+            for keys, value in rows]
+    if format == "structured":
+        return json.dumps({**(envelope or {}), "rows": [
+            {**keys, **(scalar_fields(value) if isinstance(value, Scalar) else {"value": value})}
+            for keys, value in rows]})
+    line = _FORMATTERS[format][-1]
+    return "\n".join(line(keys, render(NormalPoly({(0, 0): value}), format)
+                          if isinstance(value, Scalar) else value) for keys, value in rows)
 
 
 # -- system files ----------------------------------------------------------

@@ -208,6 +208,17 @@ def test_normal_order_letter_cap(capsys):
     assert (code, out) == (0, f"ad^{MAX_WORD_LETTERS}\n")
 
 
+def test_normal_order_error_order(capsys):
+    # a syntax error, then a power past sys.maxsize, then the letter cap: the first one met wins
+    long_word, huge = f"a^{MAX_WORD_LETTERS + 1}", "ad^" + "9" * 20
+    for expr, code, message in ((f"{long_word} {huge} !!", 2, "unexpected character"),
+                                (f"{long_word} {huge}", 2, "power too large"),
+                                (f"{long_word} ad", 3, "exceeds cap")):
+        got, out, err = run(capsys, "normal-order", expr)
+        assert (got, out) == (code, ""), expr
+        assert message in err
+
+
 def test_normal_order_routes_disagree(capsys, monkeypatch):
     # the guard between the two routes: exit 1, nothing on stdout, the word echoed short
     from weylorder import cli

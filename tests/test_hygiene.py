@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import weylorder
+from weylorder import cli, textio
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
@@ -120,3 +121,15 @@ def test_cli_import_skips_dataclasses_and_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_cli_reads_formats_from_textio():
+    # textio spells every format; cli takes its --format choices and no private name from it
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module == "textio" for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+    choices = {name: options["--format"][2] for name, (*_, options) in cli.COMMANDS.items()
+               if "--format" in options}
+    assert set(choices) == {"weyl", "normal-order", "coeffs", "quantize"}
+    assert all(formats is textio.FORMATS for formats in choices.values())

@@ -53,13 +53,10 @@ def test_parse_boson_word():
 
 
 def test_parse_boson_word_letter_cap():
-    assert parse_boson_word("a^3 ad", max_letters=4) == runs_of((ANNIHILATE,) * 3 + (CREATE,))
-    with pytest.raises(CapExceededError) as err:
-        parse_boson_word("a^3 ad^2", max_letters=4)
-    assert (err.value.degree, err.value.cap) == (5, 4)
-    # a power past sys.maxsize stays a parse error, whatever the cap
-    with pytest.raises(ParseError, match="power too large"):
-        parse_boson_word("a ad^99999999999999999999", max_letters=4)
+    # the library has no letter cap: the CLI checks cli.MAX_WORD_LETTERS after the parse
+    assert parse_boson_word("ad " * 10_000 + "a") == ((CREATE, 10_000), (ANNIHILATE, 1))
+    with pytest.raises(TypeError):
+        parse_boson_word("a^3 ad", max_letters=4)
 
 
 @given(st.lists(st.sampled_from(["a", "ad", "d", "^", "*", "/", " ", "\t", "0", "3", "12",
