@@ -58,12 +58,16 @@ def _echo(text: str, limit: int = ECHO_CHARS) -> str:
     return text if len(text) <= limit else text[:limit] + "..."
 
 
+def _cut(message: str) -> str:
+    """The message with each long word echoed by its first characters."""
+    return _LONG_WORD_RE.sub(lambda word: _echo(word[0]), message)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose error messages echo each long word by its first characters."""
+    """An ArgumentParser whose error messages are cut; its usage text is not."""
 
     def error(self, message):
-        message = _LONG_WORD_RE.sub(lambda word: _echo(word[0]), message)
-        super().error(_echo(message, MESSAGE_CHARS))
+        super().error(_echo(_cut(message), MESSAGE_CHARS))
 
 
 def _nonnegative(text: str) -> int:
@@ -235,9 +239,9 @@ def main(argv=None) -> int:
         code = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         out, err = (text.getvalue().removesuffix("\n") or None for text in (out, err))
     except CapExceededError as exc:
-        code, out, err = EXIT_CAP, None, f"error: {exc}"
+        code, out, err = EXIT_CAP, None, f"error: {_cut(str(exc))}"
     except (ParseError, SystemFormatError, OSError) as exc:  # OSError: load_system's file
-        code, out, err = EXIT_USAGE, None, f"error: {exc}"
+        code, out, err = EXIT_USAGE, None, f"error: {_cut(str(exc))}"
     for stream, text in ((sys.stderr, err), (sys.stdout, out)):
         if stream is None:  # its descriptor was closed before the interpreter started
             continue
