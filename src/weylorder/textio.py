@@ -238,10 +238,13 @@ def load_system(path) -> PolySystem:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SystemFormatError(f"not valid UTF-8 JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SystemFormatError("not valid UTF-8") from exc
+        except json.JSONDecodeError as exc:  # the place alone; the message is the interpreter's
+            raise SystemFormatError(
+                f"not valid JSON at line {exc.lineno} column {exc.colno}") from exc
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
             raise SystemFormatError("number has too many digits") from exc
         except RecursionError as exc:  # arrays or objects nested past the interpreter's limit
-            raise SystemFormatError(f"nested too deeply: {exc}") from exc
+            raise SystemFormatError("nested too deeply") from exc
     return system_from_obj(obj)

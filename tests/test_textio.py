@@ -308,7 +308,8 @@ def test_load_system(tmp_path):
     system = load_system(path)
     assert dict(system.qdot) == {(0, 1): Fraction(1)}
     bad = tmp_path / "bad.json"
-    for text, match in (("{not json", "not valid"),
+    for text, match in (("{not json", "^not valid JSON at line 1 column 2$"),
+                        ('{"qdot": [],\n "pdot": [', "^not valid JSON at line 2 column 11$"),
                         ('{"qdot": [{"j": ' + "9" * 5000 + ', "k": 0}]}', "too many digits")):
         bad.write_text(text)
         with pytest.raises(SystemFormatError, match=match):
