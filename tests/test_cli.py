@@ -248,6 +248,14 @@ def test_long_argument_echo_is_truncated(capsys, tmp_path, monkeypatch):
         assert (code, out) == (2, "")
         assert "..." in err
         assert max(len(line) for line in err.splitlines()) < 200
+    # a cap message too: a 4000-digit exponent is past MAX_DEGREE
+    (tmp_path / "degree.json").write_text(
+        '{"qdot": [{"j": ' + "1" * 4000 + ', "k": 0, "coeff": "1"}], "pdot": []}',
+        encoding="utf-8")
+    code, out, err = run(capsys, "quantize", "degree.json")
+    assert (code, out) == (3, "")
+    assert err == f"error: quantize monomial q^{'1' * 18}... p^0: degree {'1' * 20}... " \
+                  f"exceeds cap {MAX_DEGREE}\n"
 
 
 def test_coeffs_h(capsys):
