@@ -177,12 +177,12 @@ def render(poly: NormalPoly, format: str = "plain") -> str:
     return " ".join(out)
 
 
-def render_table(rows, format: str = "plain", envelope: dict | None = None) -> str:
+def render_table(rows, format: str, envelope: dict) -> str:
     """(keys, value) rows, value a Scalar, int or Fraction: a line each, or JSON in envelope."""
     rows = [(keys, _frac_str(value) if isinstance(value, Fraction) else value)
             for keys, value in rows]
     if format == "structured":
-        return json.dumps({**(envelope or {}), "rows": [
+        return json.dumps({**envelope, "rows": [
             {**keys, **(scalar_fields(value) if isinstance(value, Scalar) else {"value": value})}
             for keys, value in rows]})
     line = _FORMATTERS[format][-1]
