@@ -2,9 +2,9 @@
 
 The coefficient h(j,k,u,v) factors into a sign prefactor, a contraction
 count and the alternating Vandermonde convolution zeta.  zeta comes in four
-equivalent implementations (alternating sum, polynomial coefficient,
-guard-function sum, nonzero-range sum) that are cross-checked in the test
-suite and by the `check` sweep.
+equivalent implementations (alternating sum, polynomial coefficient read from
+the row of a three-term recurrence, guard-function sum, nonzero-range sum) that
+are cross-checked in the test suite and by the `check` sweep.
 
 Every coefficient of one (j, k) is the unit i^k 2^{-(j+k)/2} times u!/2^u
 times an integer, so it sits in the one ring component the unit fills, and
@@ -55,18 +55,19 @@ def zeta_sum(j: int, k: int, t: int) -> int:
 
 
 def zeta_row(j: int, k: int) -> list:
-    """Coefficients of (1+x)^j (1-x)^k, by exact expansion: entry t is zeta(j, k, t)."""
+    """Coefficients z[t] = zeta(j, k, t) of f = (1+x)^j (1-x)^k, in O(j+k) exact steps.
+
+    (1-x^2) f' = ((j-k) - (j+k) x) f gives (t+1) z[t+1] = (j-k) z[t] + (t-1-j-k) z[t-1].
+    """
     _check_indices(j, k)
-    coeffs = [1]
-    for _ in range(j):
-        coeffs = [a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    for _ in range(k):
-        coeffs = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
+    row = [1]
+    for t in range(j + k):
+        row.append(((j - k) * row[t] + (t - 1 - j - k) * (row[t - 1] if t else 0)) // (t + 1))
+    return row
 
 
 def zeta_poly(j: int, k: int, t: int) -> int:
-    """Coefficient of x^t in (1+x)^j (1-x)^k, read from the expanded row."""
+    """Coefficient of x^t in (1+x)^j (1-x)^k, read from the recurrence's row."""
     coeffs = zeta_row(j, k)
     return coeffs[t] if 0 <= t < len(coeffs) else 0
 

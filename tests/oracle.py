@@ -22,13 +22,14 @@ The boson-word helpers keep their loop forms and read flat letter sequences:
 the rewrite that rebuilds the {(m, n): c} dict at every letter, the index loop
 that reads a word's runs into blocks, and the falling factorial as a product.
 `runs_of` turns a flat sequence into the runs ((letter, count), ...) that the
-package reads.
+package reads.  The Blasiak row is kept in its first form, every point of every
+block through `falling`, and the zeta rows as list convolutions.
 """
 from fractions import Fraction
 from itertools import combinations, groupby, permutations
 from math import comb, factorial
 
-from weylorder.altroutes import cg_weyl_monomial
+from weylorder.altroutes import cg_weyl_monomial, falling
 from weylorder.closedform import weyl_normal_form, zeta_sum
 from weylorder.poly import ANNIHILATE, CREATE, P_POLY, Q, Q_POLY, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
@@ -174,6 +175,35 @@ def blasiak_coeff_sum(x, k):
                 prod *= dm + j - i
         total += comb(k, j) * (-1) ** (k - j) * prod
     return Fraction(total, factorial(k))
+
+
+def blasiak_row_by_falling(x, hi):
+    """k! blasiak_coeff(x, k) for k = 0..hi: P(j) at every point, each factor through falling.
+
+    No block is dropped and no product ends early; then the forward-difference table.
+    """
+    d = x.prefix_excess()
+    row = []
+    for j in range(hi + 1):
+        prod = 1
+        for dm, sm in zip(d, x.s):
+            prod *= falling(dm + j, sm)
+        row.append(prod)
+    for k in range(1, hi + 1):
+        for i in range(hi, k - 1, -1):
+            row[i] -= row[i - 1]
+    return row
+
+
+def zeta_rows_by_convolution(j, k_max):
+    """Coefficients of (1+x)^j (1-x)^k for k = 0..k_max, one factor at a time by convolution."""
+    coeffs = [1]
+    for _ in range(j):
+        coeffs = [a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    yield coeffs
+    for _ in range(k_max):
+        coeffs = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        yield coeffs
 
 
 def weyl_q_step(w: NormalPoly) -> NormalPoly:

@@ -13,7 +13,7 @@ from weylorder.poly import NormalPoly
 from weylorder.scalar import Scalar
 from weylorder.verify import run_checks
 
-from oracle import h_by_fraction, weyl_by_anticommutators, weyl_q_step
+from oracle import h_by_fraction, weyl_by_anticommutators, weyl_q_step, zeta_rows_by_convolution
 
 
 def test_lambda_factor():
@@ -51,6 +51,13 @@ def test_zeta_variants_agree():
 def test_zeta_row_is_the_zeta_sum_row():
     for j, k in [(0, 0), (3, 2), (0, 7), (9, 4)]:
         assert zeta_row(j, k) == [zeta_sum(j, k, t) for t in range(j + k + 1)]
+
+
+def test_zeta_row_recurrence_matches_the_convolution():
+    # the recurrence's exact division, against (1+x)^j (1-x)^k expanded factor by factor
+    for j in range(61):
+        for k, expected in enumerate(zeta_rows_by_convolution(j, 60)):
+            assert zeta_row(j, k) == expected, (j, k)
 
 
 def test_zeta_degenerate_rows():
