@@ -65,6 +65,11 @@ class BosonString(namedtuple("BosonString", "r s")):
     def _make(cls, iterable):  # _replace builds through _make: validate there too
         return cls(*iterable)
 
+    @classmethod
+    def _of(cls, r: tuple, s: tuple) -> "BosonString":
+        """The unchecked twin of BosonString(r, s), as NormalPoly._of is of NormalPoly(...)."""
+        return tuple.__new__(cls, (r, s))
+
     def prefix_excess(self) -> tuple:
         """d_0..d_M with d_l the running creation surplus of the first l blocks."""
         d = [0]
@@ -85,7 +90,7 @@ def blockify(runs) -> BosonString:
         else:
             r[-1] += count
     # the leftmost pair in the written word is the last block to act
-    return BosonString(tuple(r[::-1]), tuple(s[::-1]))
+    return BosonString._of(tuple(r[::-1]), tuple(s[::-1]))
 
 
 def falling(x: int, n: int) -> int:
@@ -99,13 +104,21 @@ def falling(x: int, n: int) -> int:
 
 
 def _blasiak_row(x: BosonString, hi: int) -> list:
-    """k! blasiak_coeff(x, k) for k = 0..hi: the forward differences of P at 0, in ints."""
-    d = x.prefix_excess()
+    """k! blasiak_coeff(x, k) for k = 0..hi: the forward differences of P at 0, in ints.
+
+    A block with s = 0 gives the factor 1 and is dropped.  At d + j >= 0 a factor is
+    perm(d + j, s), zero for d + j < s, and a point's product ends at its first zero.
+    """
+    blocks = [(dm, sm) for dm, sm in zip(x.prefix_excess(), x.s) if sm]
     row = []
     for j in range(hi + 1):
         prod = 1
-        for dm, sm in zip(d, x.s):
-            prod *= falling(dm + j, sm)
+        for dm, sm in blocks:
+            t = dm + j
+            if 0 <= t < sm:
+                prod = 0
+                break
+            prod *= perm(t, sm) if t >= 0 else falling(t, sm)
         row.append(prod)
     # after pass k, row[i] holds (Δ^k P)(i - k) for i >= k
     for k in range(1, hi + 1):
@@ -134,7 +147,7 @@ def blasiak_normal_order(x: BosonString) -> NormalPoly:
     d_m = x.prefix_excess()[-1]
     if d_m < 0:
         # adjoint string: roles swapped and sequences reversed
-        x = BosonString(x.s[::-1], x.r[::-1])
+        x = BosonString._of(x.s[::-1], x.r[::-1])
     lo, hi = x.s[0], sum(x.s)
     row = _blasiak_row(x, hi)
     terms = {}

@@ -179,8 +179,17 @@ def _normal_order_int(runs: tuple) -> dict:
     return terms
 
 
-def _runs(word) -> tuple:
-    """The runs as (letter, count) tuples; ValueError on a bad run, letter or count, before any work."""
+class _Runs(tuple):
+    """Runs ((letter, count), ...) known to be good: `parse_boson_word` and `_runs` build them."""
+    __slots__ = ()
+
+
+def _runs(word) -> _Runs:
+    """The runs as a _Runs of (letter, count) tuples; ValueError on a bad run, letter or count,
+    before any work.  A _Runs is returned as it is, so a parsed word is checked once.
+    """
+    if word.__class__ is _Runs:
+        return word
     runs = []
     for run in word:
         if not isinstance(run, (tuple, list)) or len(run) != 2:  # a letter of a flat word, say
@@ -191,7 +200,7 @@ def _runs(word) -> tuple:
         if count.__class__ is not int or count < 0:  # no bool, float or str
             raise ValueError(f"a run count must be a nonnegative int, got {count!r}")
         runs.append((letter, count))
-    return tuple(runs)
+    return _Runs(runs)
 
 
 def normal_order_word(runs) -> NormalPoly:

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .enumeration import CapExceededError
-from .poly import ANNIHILATE, CREATE, NormalPoly
+from .poly import ANNIHILATE, CREATE, NormalPoly, _Runs
 from .quantize import PolySystem
 from .scalar import Scalar, _parts
 
@@ -41,7 +41,8 @@ def parse_boson_word(text: str) -> tuple:
     """Parse a product of "a" and "ad" factors with optional integer powers into runs.
 
     The runs ((letter, count), ...) are canonical: no zero count, and no two neighbouring
-    runs of one letter.  A power past sys.maxsize is reported after any syntax error.
+    runs of one letter, and they come back as a `poly._Runs`, which the routes read unchecked.
+    A power past sys.maxsize is reported after any syntax error.
     """
     if not text.strip():
         raise ParseError("empty input", (0, len(text)))
@@ -71,7 +72,7 @@ def parse_boson_word(text: str) -> tuple:
         pos = factor.end()
     if too_large is not None:
         raise ParseError("power too large", too_large)
-    return tuple(runs)
+    return _Runs(runs)
 
 
 # -- rendering -------------------------------------------------------------
@@ -185,6 +186,8 @@ def render_table(rows, format: str, envelope: dict) -> str:
         return json.dumps({**envelope, "rows": [
             {**keys, **(scalar_fields(value) if isinstance(value, Scalar) else {"value": value})}
             for keys, value in rows]})
+    if format not in _FORMATTERS:
+        raise ValueError(f"unknown format {format!r}")
     line = _FORMATTERS[format][-1]
     return "\n".join(line(keys, render(NormalPoly({(0, 0): value}), format)
                           if isinstance(value, Scalar) else value) for keys, value in rows)

@@ -3,16 +3,17 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
-from weylorder.altroutes import (BosonString, blasiak_coeff, blasiak_normal_order,
+from weylorder.altroutes import (BosonString, _blasiak_row, blasiak_coeff, blasiak_normal_order,
                                  blockify, cg_weyl_monomial, falling, weyl_via_cg)
 from weylorder.closedform import weyl_normal_form
 from weylorder.enumeration import weyl_bruteforce
 from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
 
-from oracle import (blasiak_coeff_sum, blocks_by_index_loop, falling_by_product,
-                    runs_of, weyl_by_cg_monomials)
+from oracle import (blasiak_coeff_sum, blasiak_row_by_falling, blocks_by_index_loop,
+                    falling_by_product, runs_of, weyl_by_cg_monomials)
 
 
 def test_falling_factorial():
@@ -131,6 +132,37 @@ def test_boson_string_validation():
         BosonString((), ())
     with pytest.raises(ValueError):
         BosonString((-1,), (0,))
+    with pytest.raises(ValueError, match="block powers must be nonnegative"):
+        BosonString((1,), (-1,))
+    with pytest.raises(ValueError, match="block powers must be nonnegative"):
+        BosonString((1,), (1,))._replace(s=(-1,))
+    with pytest.raises(ValueError, match="equal-length"):
+        BosonString((1,), (1,))._replace(r=(1, 2))
+
+
+def test_blockify_builds_valid_strings():
+    # blockify builds through the unchecked _of; the checked constructor accepts each string
+    rng = random.Random(35)
+    for _ in range(300):
+        word = tuple(rng.choice((CREATE, ANNIHILATE)) for _ in range(rng.randrange(12)))
+        x = blockify(runs_of(word))
+        assert x == BosonString(*x) and x.__class__ is BosonString
+        assert all(part.__class__ is tuple for part in x)
+
+
+boson_strings = st.integers(1, 6).flatmap(lambda blocks: st.builds(
+    BosonString, *(st.tuples(*[st.integers(0, 6)] * blocks) for _ in "rs")))
+
+
+@given(boson_strings, st.integers(0, 3))
+def test_blasiak_row_matches_every_point_through_falling(x, extra):
+    # empty blocks, negative prefix excesses and zero factors, on x and on its adjoint string
+    adjoint = BosonString(x.s[::-1], x.r[::-1])
+    for y in (x, adjoint):
+        hi = sum(y.s) + extra
+        assert _blasiak_row(y, hi) == blasiak_row_by_falling(y, hi)
+    # the adjoint branch builds the adjoint string itself: the normal forms are adjoints
+    assert blasiak_normal_order(adjoint) == blasiak_normal_order(x).adjoint()
 
 
 def test_weyl_via_cg_matches_per_monomial_sum():

@@ -8,10 +8,11 @@ from hypothesis import given, strategies as st
 from weylorder.altroutes import BosonString, blasiak_normal_order, blockify, weyl_via_cg
 from weylorder.closedform import h_slots, weyl_normal_form
 from weylorder.enumeration import weyl_bruteforce
-from weylorder.poly import (_NO_CACHE, ANNIHILATE, CREATE, P, Q, NormalPoly,
-                            _normal_order_int, expand_qp_word, normal_order_word)
+from weylorder.poly import (_NO_CACHE, ANNIHILATE, CREATE, P, Q, NormalPoly, _normal_order_int,
+                            _Runs, _runs, expand_qp_word, normal_order_word)
 from weylorder.quantize import quantize_side
 from weylorder.scalar import Scalar
+from weylorder.textio import parse_boson_word
 
 from oracle import (A_POLY, AD_POLY, I, apply_boson_word, apply_normal_poly, apply_qp_word,
                     normal_order_by_dict_steps, runs_of, same_poly, unit)
@@ -155,6 +156,26 @@ def test_runs_are_checked_before_any_work():
             with pytest.raises(ValueError, match=message):
                 build(runs)
             assert len(_NO_CACHE) == before, (build, runs)
+
+
+def test_parsed_runs_are_checked_once():
+    # parse_boson_word's runs pass through _runs as they are; they still equal the plain tuple
+    for text in ("a ad", "ad^3 a^2 ad", "ad^0"):
+        runs = parse_boson_word(text)
+        assert runs.__class__ is _Runs and _runs(runs) is runs
+        assert runs == tuple(runs) and repr(runs) == repr(tuple(runs))
+    # any other sequence is checked, a plain tuple of the same shape too, with the same texts
+    bad = {(ANNIHILATE, CREATE): "a word is a sequence of (letter, count) runs, got the item 'a'",
+           (("q", 1),): "not a boson letter: 'q'",
+           ((ANNIHILATE, 1), (CREATE, -1)): "a run count must be a nonnegative int, got -1"}
+    for runs, message in bad.items():
+        for word in (runs, list(runs)):
+            for build in (_runs, normal_order_word, blockify):
+                with pytest.raises(ValueError) as caught:
+                    build(word)
+                assert str(caught.value) == message, (build, word)
+    checked = _runs([(CREATE, 2), [ANNIHILATE, 1]])
+    assert checked.__class__ is _Runs and checked == ((CREATE, 2), (ANNIHILATE, 1))
 
 
 def test_runs_need_not_be_canonical():

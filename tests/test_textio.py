@@ -11,7 +11,7 @@ from weylorder.enumeration import CapExceededError
 from weylorder.poly import ANNIHILATE, CREATE, NormalPoly, normal_order_word
 from weylorder.scalar import Scalar
 from weylorder.textio import (ParseError, SystemFormatError, load_system, parse_boson_word,
-                              render, scalar_fields, system_from_obj)
+                              render, render_table, scalar_fields, system_from_obj)
 
 from oracle import (normal_order_by_dict_steps, runs_of, scalar_fields_by_fraction,
                     scalar_text_by_fraction)
@@ -112,6 +112,12 @@ def test_render_plain():
     assert render(NormalPoly({(0, 0): Scalar(x_re=1, y_re=1)})) == "(1 + sqrt2)"
     with pytest.raises(ValueError, match="unknown format 'html'"):
         render(NormalPoly.one(), "html")
+
+
+def test_render_table_unknown_format():
+    # as render: a ValueError that names the format, not a KeyError of the spelling table
+    with pytest.raises(ValueError, match="^unknown format 'html'$"):
+        render_table([({"t": 0}, 1)], "html", {})
 
 
 def test_render_past_the_digit_limit():
