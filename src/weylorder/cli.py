@@ -59,15 +59,15 @@ def _echo(text: str, limit: int = ECHO_CHARS) -> str:
 
 
 def _cut(message: str) -> str:
-    """The message with each long word echoed by its first characters."""
-    return _LONG_WORD_RE.sub(lambda word: _echo(word[0]), message)
+    """The message with each long word echoed by its first characters, then cut to MESSAGE_CHARS."""
+    return _echo(_LONG_WORD_RE.sub(lambda word: _echo(word[0]), message), MESSAGE_CHARS)
 
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose error messages are cut; its usage text is not."""
 
     def error(self, message):
-        super().error(_echo(_cut(message), MESSAGE_CHARS))
+        super().error(_cut(message))
 
 
 def _nonnegative(text: str) -> int:

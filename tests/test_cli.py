@@ -233,7 +233,7 @@ def test_normal_order_routes_disagree(capsys, monkeypatch):
 
 def test_long_argument_echo_is_truncated(capsys, tmp_path, monkeypatch):
     # a rejected argument is echoed by its first characters only, and a message is cut too;
-    # so are the words of main's own messages: a path, a coeff string, a long exponent
+    # so are main's own messages, word and whole: a path, a coeff string, a long exponent
     monkeypatch.chdir(tmp_path)
     (tmp_path / "coeff.json").write_text(
         json.dumps({"qdot": [{"j": 0, "k": 1, "coeff": "x" * 5000}]}), encoding="utf-8")
@@ -242,7 +242,7 @@ def test_long_argument_echo_is_truncated(capsys, tmp_path, monkeypatch):
     for argv in (["weyl", "9" * 5000, "1"], ["weyl", "x" * 300, "1"],
                  ["coeffs", "1", "-" + "9" * 3000], ["weyl", "1", "1", "--method", "x" * 5000],
                  ["weyl", "1", "1", "--method", "x " * 1000], ["weyl", "1", "1", *["a"] * 1000],
-                 ["quantize", "x" * 5000], ["quantize", "coeff.json"],
+                 ["quantize", "x" * 5000], ["quantize", "x " * 2500], ["quantize", "coeff.json"],
                  ["quantize", "exponent.json"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
