@@ -1,7 +1,8 @@
 """The seven record types: fields, defaults, value equality, immutability and hashing.
 
 Each is a named tuple subclass.  The two that validate (BosonString,
-PolySystem) do so on every way in, `_replace` and `_make` included.
+PolySystem) do so on every public way in, `_replace` and `_make` included;
+the private `BosonString._of` is the unchecked constructor.
 BosonString and ExpectedDynamics hash as the tuple of their fields;
 SymmetryReport, EtaCheck, CheckResult and CheckReport are unhashable.
 """
