@@ -2,9 +2,9 @@
 
 Route one converts the Weyl bracket of ladder-operator monomials directly to
 normal order.  Route two is the general boson-string normal-ordering formula
-built on prefix excesses and falling factorials; one forward-difference row
-per string, in ints, gives all of its coefficients: the k-th difference over
-k!, one division per coefficient, made when the Scalar is built.  `blockify`
+built on prefix excesses and falling factorials: the product of falling
+factorials P(j), written in the falling-factorial basis falling(j, k), has the
+string's normal-form coefficients as its integer coefficients.  `blockify`
 reads the blocks off a word's runs ((letter, count), ...), as the rewrite does.
 """
 from __future__ import annotations
@@ -103,57 +103,46 @@ def falling(x: int, n: int) -> int:
     return -perm(n - 1 - x, n) if n % 2 else perm(n - 1 - x, n)
 
 
-def _blasiak_row(x: BosonString, hi: int) -> list:
-    """k! blasiak_coeff(x, k) for k = 0..hi: the forward differences of P at 0, in ints.
+def _blasiak_row(x: BosonString) -> list:
+    """P(j) = Π_m falling(d_{m-1} + j, s_m) as Σ_k row[k] falling(j, k), k = 0..sum(s), in ints.
 
-    A block with s = 0 gives the factor 1 and is dropped.  At d + j >= 0 a factor is
-    perm(d + j, s), zero for d + j < s, and a point's product ends at its first zero.
+    The largest block goes in by Chu–Vandermonde, falling(j + d, s) =
+    Σ_i C(s, i) falling(d, s - i) falling(j, i); every other block as its s linear factors
+    (j + e), e = d..d-s+1, each by falling(j, i) (j + e) = falling(j, i+1) + (i + e) falling(j, i).
     """
-    blocks = [(dm, sm) for dm, sm in zip(x.prefix_excess(), x.s) if sm]
-    row = []
-    for j in range(hi + 1):
-        prod = 1
-        for dm, sm in blocks:
-            t = dm + j
-            if 0 <= t < sm:
-                prod = 0
-                break
-            prod *= perm(t, sm) if t >= 0 else falling(t, sm)
-        row.append(prod)
-    # after pass k, row[i] holds (Δ^k P)(i - k) for i >= k
-    for k in range(1, hi + 1):
-        for i in range(hi, k - 1, -1):
-            row[i] -= row[i - 1]
+    *rest, (s, d) = sorted(zip(x.s, x.prefix_excess()))
+    row = [comb(s, i) * falling(d, s - i) for i in range(s + 1)]
+    for s, d in rest:
+        for e in range(d, d - s, -1):
+            row.append(0)
+            for i in range(len(row) - 1, 0, -1):
+                row[i] = row[i - 1] + (i + e) * row[i]
+            row[0] *= e
     return row
 
 
 def blasiak_coeff(x: BosonString, k: int) -> Fraction:
     """Expansion coefficient of ad^(d_M+k) a^k in the string's normal form.
 
-    (1/k!) Σ_j C(k,j) (-1)^(k-j) P(j) with P(j) = Π_m falling(d_{m-1} + j, s_m):
-    the k-th forward difference of P at 0 over k!.
+    (1/k!) Σ_j C(k,j) (-1)^(k-j) P(j) with P(j) = Π_m falling(d_{m-1} + j, s_m),
+    which is P's coefficient of falling(j, k): entry k of the row, 0 past its end.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return Fraction(_blasiak_row(x, k)[k], factorial(k))
+    row = _blasiak_row(x)
+    return Fraction(row[k] if k < len(row) else 0)
 
 
 def blasiak_normal_order(x: BosonString) -> NormalPoly:
     """Normal-ordered equivalent of a boson string via the excess-split formula.
 
-    Every coefficient comes from one forward-difference row per string (of
-    the adjoint string when d_M < 0), divided by k! as its Scalar is built.
+    Entry k of the string's falling-basis row is the integer coefficient of ad^(d_M+k) a^k;
+    when d_M < 0 the row is the adjoint string's, and entry k that of ad^k a^(k-d_M).
     """
     d_m = x.prefix_excess()[-1]
     if d_m < 0:
         # adjoint string: roles swapped and sequences reversed
         x = BosonString._of(x.s[::-1], x.r[::-1])
-    lo, hi = x.s[0], sum(x.s)
-    row = _blasiak_row(x, hi)
-    terms = {}
-    fact = factorial(lo)
-    for k in range(lo, hi + 1):
-        if row[k]:  # a difference can vanish: ad a a ad has none at k = 0
-            terms[(d_m + k, k) if d_m >= 0 else (k, k - d_m)] = _one(0, row[k], fact)
-        fact *= k + 1
-    return NormalPoly._of(terms)
+    # an entry can vanish: ad a a ad has none at k = 0
+    return NormalPoly._of({(d_m + k, k) if d_m >= 0 else (k, k - d_m): _one(0, c, 1)
+                           for k, c in enumerate(_blasiak_row(x)) if c})

@@ -22,8 +22,9 @@ The boson-word helpers keep their loop forms and read flat letter sequences:
 the rewrite that rebuilds the {(m, n): c} dict at every letter, the index loop
 that reads a word's runs into blocks, and the falling factorial as a product.
 `runs_of` turns a flat sequence into the runs ((letter, count), ...) that the
-package reads.  The Blasiak row is kept in its first form, every point of every
-block through `falling`, and the zeta rows as list convolutions.
+package reads.  The Blasiak row is kept as a table of points, every point of every
+block through `falling`, differenced in place: its entry k is k! times the
+package's falling-basis coefficient.  The zeta rows are kept as list convolutions.
 """
 from fractions import Fraction
 from itertools import combinations, groupby, permutations
@@ -164,7 +165,7 @@ def blasiak_coeff_sum(x, k):
     """(1/k!) sum_j C(k,j) (-1)^(k-j) P(j) with P(j) = prod_m falling(d_{m-1} + j, s_m).
 
     The Blasiak coefficient of a BosonString x summed term by term for one k,
-    the reference for the forward-difference row of the Blasiak route.
+    the reference for the falling-basis row of the Blasiak route.
     """
     d = x.prefix_excess()
     total = 0

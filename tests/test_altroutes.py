@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +74,9 @@ def test_blasiak_coeff_examples():
     for k in (-1, -2):
         with pytest.raises(ValueError):
             blasiak_coeff(BosonString((1,), (1,)), k)
+    # past the row's end the coefficient is 0, read without building k + 1 entries
+    past = blasiak_coeff(BosonString((1,), (1,)), 10**6)
+    assert past == 0 and past.__class__ is Fraction
 
 
 def test_blasiak_coeff_matches_binomial_sum():
@@ -156,13 +160,26 @@ boson_strings = st.integers(1, 6).flatmap(lambda blocks: st.builds(
 
 @given(boson_strings, st.integers(0, 3))
 def test_blasiak_row_matches_every_point_through_falling(x, extra):
-    # empty blocks, negative prefix excesses and zero factors, on x and on its adjoint string
+    # empty blocks, negative prefix excesses and zero factors, on x and on its adjoint string;
+    # the oracle's k-th forward difference over k! is the falling-basis coefficient
     adjoint = BosonString(x.s[::-1], x.r[::-1])
     for y in (x, adjoint):
         hi = sum(y.s) + extra
-        assert _blasiak_row(y, hi) == blasiak_row_by_falling(y, hi)
+        assert _blasiak_row(y) + [0] * extra == \
+            [c // factorial(k) for k, c in enumerate(blasiak_row_by_falling(y, hi))]
     # the adjoint branch builds the adjoint string itself: the normal forms are adjoints
     assert blasiak_normal_order(adjoint) == blasiak_normal_order(x).adjoint()
+
+
+def test_blasiak_chu_vandermonde_at_long_blocks():
+    # a^N ad^N is one block of N letters a after N letters ad: a^N ad^N = Σ_k k! C(N,k)² ad^(N-k) a^(N-k)
+    for n in (40, 120, 200):
+        assert blasiak_normal_order(blockify((("a", n), ("ad", n)))) == \
+            NormalPoly({(n - k, n - k): factorial(k) * comb(n, k) ** 2 for k in range(n + 1)})
+    # the largest block, 70 letters a, acts last and meets the prefix excess -3: falling at a negative d
+    runs = (("ad", 80), ("a", 70), ("ad", 2), ("a", 8), ("ad", 3))
+    assert blockify(runs).prefix_excess() == (0, 3, -3, 7)
+    assert blasiak_normal_order(blockify(runs)) == normal_order_word(runs)
 
 
 def test_weyl_via_cg_matches_per_monomial_sum():
